@@ -29,8 +29,6 @@ class Config:
     log_path: str = "malicious_log.jsonl"
     weights_path: str = "weights.bin"
     report_path: str = "scenario_reports.json"
-    rbac_path: str = "rbac_policy.csv"
-    abac_path: str = "abac_policy.csv"
 
     def validate(self) -> "Config":
         if self.validators <= 2:

@@ -26,18 +26,25 @@ from enum import Enum
 from typing import Any, Mapping
 
 from . import crypto
-from .ledger import AccReqTx, VerifiedTx, resource_key, tx_signing_bytes, user_key
+from .ledger import (
+    DEFAULT_FRESHNESS_WINDOW,
+    AccReqTx,
+    VerifiedTx,
+    resource_key,
+    signing_bytes,
+    user_key,
+)
 from .model import (
     DecisionModel,
     N_OPERATIONS,
     OPERATIONS,
     binary_repr,
+    encode_attrs,
     infer,
     operation_index,
     threshold_decide,
 )
 
-DEFAULT_FRESHNESS_WINDOW = 120
 RESOURCE_ID_BITS = 32
 OPERATION_BITS = 4
 
@@ -252,14 +259,7 @@ def access_verification(
         return False
     if abs(now - tx.timestamp) > window:
         return False
-    return crypto.verify_sig(tx.user_pk, tx_signing_bytes(tx), tx.sig)
-
-
-def _metadata_bits(attrs) -> tuple[int, ...]:
-    bits: list[int] = []
-    for a in attrs:
-        bits.extend(binary_repr(int(a), 4))
-    return tuple(bits)
+    return crypto.verify_sig(tx.user_pk, signing_bytes(tx), tx.sig)
 
 
 def authenticate(
@@ -285,7 +285,7 @@ def authenticate(
         return Denial(DenialReason.WRONG_RESOURCE, "unencodable request info")
     return VerifiedPayload(
         timestamp=tx.timestamp,
-        user_bits=_metadata_bits(record["metadata"]),
+        user_bits=encode_attrs(record["metadata"]),
         request_bits=request_bits,
         user_pk=tx.user_pk,
         resource_id=tx.resource_id,
@@ -330,7 +330,7 @@ def authorize(
         return Denial(
             DenialReason.WRONG_RESOURCE, f"no such resource {payload.resource_id}"
         )
-    resource_bits = _metadata_bits(resource["metadata"])
+    resource_bits = encode_attrs(resource["metadata"])
     scores = infer(model, payload.user_bits + resource_bits)
     mask = threshold_decide(scores, threshold)
     subject_hash = crypto.hash_bytes(payload.user_pk).hex()

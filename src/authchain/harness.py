@@ -44,7 +44,6 @@ from .ledger import (
     ValidatorSet,
     append_block,
     block_canonical_bytes,
-    block_signing_bytes,
     canonical_bytes,
     genesis,
     make_accreq,
@@ -53,8 +52,8 @@ from .ledger import (
     parse_chain_lines,
     produce_block,
     query_history,
-    rejection_reason,
     save_chain,
+    signed,
     tx_canonical_bytes,
     validate_block,
     validate_chain,
@@ -263,12 +262,12 @@ def setup_world(
     )
 
     for kp, (_, attrs) in zip(users, dataset.users):
-        accepted = world.mempool.submit(
+        rejected = world.mempool.submit(
             chain, make_setup(admin, kp.public_key, attrs, clock.now()), clock.now(),
             config.freshness_window,
         )
-        if not accepted:
-            raise ConfigError("setup transaction rejected during world bootstrap")
+        if rejected is not None:
+            raise ConfigError(f"setup transaction rejected during world bootstrap ({rejected})")
     while len(world.mempool):
         _produce(world)
 
@@ -360,13 +359,13 @@ def _run_request_locked(
 
     nonce = crypto.gen_nonce(world.rng)
     accreq = make_accreq(user, resource_id, operation, nonce, world.now())
-    if not world.mempool.submit(world.chain, accreq, world.now(), cfg.freshness_window):
-        label = rejection_reason(world.chain, accreq, world.now(), cfg.freshness_window)
+    label = world.mempool.submit(world.chain, accreq, world.now(), cfg.freshness_window)
+    if label is not None:
         reason = {
             "stale": DenialReason.STALE,
             "replayed-nonce": DenialReason.REPLAY,
-        }.get(label or "", DenialReason.UNAUTHENTICATED)
-        _record_denial(world, tx_canonical_bytes(accreq), Denial(reason, label or ""), subject)
+        }.get(label, DenialReason.UNAUTHENTICATED)
+        _record_denial(world, tx_canonical_bytes(accreq), Denial(reason, label), subject)
         return denied(reason)
 
     heights.append(_produce(world).height)
@@ -460,7 +459,7 @@ def _model_mask(world: World, user_index: int, resource_id: int) -> tuple[bool, 
             ],
             dtype=np.float64,
         )
-        scores = _forward_all(world.model, inputs)[-1]
+        scores = _forward_all(world.model.layers, inputs)[-1]
         masks = scores >= world.config.threshold
         world._mask_cache = {
             pair: tuple(bool(v) for v in masks[i]) for i, pair in enumerate(pairs)
@@ -626,14 +625,11 @@ def _tamper_replay_accreq(world: World) -> TamperOutcome:
     )
     _, captured = accreqs[-1]
     world.clock.tick(world.config.freshness_window + 1)
-    accepted = world.mempool.submit(
+    label = world.mempool.submit(
         world.chain, captured, world.now(), world.config.freshness_window
     )
-    if accepted:
+    if label is None:
         return TamperOutcome("replay-accreq", False, "replayed request admitted")
-    label = rejection_reason(
-        world.chain, captured, world.now(), world.config.freshness_window
-    )
     return TamperOutcome(
         "replay-accreq", True, f"replayed request rejected ({label}); first run {outcome.verdict}"
     )
@@ -649,22 +645,16 @@ def _tamper_wrong_validator(world: World) -> TamperOutcome:
     except ScheduleError:
         pass
     # craft the block anyway, as a malicious validator would
-    block = Block(
-        height=height,
-        prev_hash=world.chain.tip_hash(),
-        tx_root=merkle_root([]),
-        transactions=(),
-        timestamp=world.now(),
-        proposer=wrong.public_key,
-    )
-    block = Block(
-        height=block.height,
-        prev_hash=block.prev_hash,
-        tx_root=block.tx_root,
-        transactions=block.transactions,
-        timestamp=block.timestamp,
-        proposer=block.proposer,
-        sig=crypto.sign(wrong.secret_key, block_signing_bytes(block)),
+    block = signed(
+        Block(
+            height=height,
+            prev_hash=world.chain.tip_hash(),
+            tx_root=merkle_root([]),
+            transactions=(),
+            timestamp=world.now(),
+            proposer=wrong.public_key,
+        ),
+        wrong,
     )
     accepted = validate_block(world.chain, block)
     return TamperOutcome(

@@ -21,7 +21,7 @@ in the genesis payload.  Contract state that does not originate in blocks
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Union
 
 from . import crypto
@@ -211,11 +211,16 @@ Transaction = Union[SetupTx, AccReqTx, LinkTx, StorageTx, VerifiedTx]
 _TX_KINDS = {"setup", "accreq", "link", "storage", "verified"}
 
 
-def tx_signing_bytes(tx: Transaction) -> bytes:
-    """Canonical bytes of the transaction minus its signature field."""
-    d = tx.to_dict()
+def signing_bytes(obj) -> bytes:
+    """Canonical bytes of a transaction or block minus its signature field."""
+    d = obj.to_dict()
     d.pop("sig", None)
     return canonical_bytes(d)
+
+
+def signed(obj, keypair: crypto.KeyPair):
+    """Copy of a transaction or block carrying the keypair's signature."""
+    return replace(obj, sig=crypto.sign(keypair.secret_key, signing_bytes(obj)))
 
 
 def tx_canonical_bytes(tx: Transaction) -> bytes:
@@ -273,63 +278,42 @@ def tx_from_dict(d: dict) -> Transaction:
 
 
 def make_setup(admin: crypto.KeyPair, user_pk: bytes, metadata, timestamp: int) -> SetupTx:
-    tx = SetupTx(
-        admin_pk=admin.public_key,
-        user_pk=user_pk,
-        metadata=check_metadata(metadata),
-        timestamp=timestamp,
-    )
-    return SetupTx(
-        admin_pk=tx.admin_pk,
-        user_pk=tx.user_pk,
-        metadata=tx.metadata,
-        timestamp=tx.timestamp,
-        sig=crypto.sign(admin.secret_key, tx_signing_bytes(tx)),
+    return signed(
+        SetupTx(
+            admin_pk=admin.public_key,
+            user_pk=user_pk,
+            metadata=check_metadata(metadata),
+            timestamp=timestamp,
+        ),
+        admin,
     )
 
 
 def make_accreq(
     user: crypto.KeyPair, resource_id: int, operation: str, nonce: bytes, timestamp: int
 ) -> AccReqTx:
-    tx = AccReqTx(
-        user_pk=user.public_key,
-        timestamp=timestamp,
-        resource_id=int(resource_id),
-        operation=operation,
-        nonce=nonce,
-    )
-    return AccReqTx(
-        user_pk=tx.user_pk,
-        timestamp=tx.timestamp,
-        resource_id=tx.resource_id,
-        operation=tx.operation,
-        nonce=tx.nonce,
-        sig=crypto.sign(user.secret_key, tx_signing_bytes(tx)),
+    return signed(
+        AccReqTx(
+            user_pk=user.public_key,
+            timestamp=timestamp,
+            resource_id=int(resource_id),
+            operation=operation,
+            nonce=nonce,
+        ),
+        user,
     )
 
 
 def make_link(
     storage: crypto.KeyPair, recipient: bytes, ciphertext: bytes, timestamp: int
 ) -> LinkTx:
-    tx = LinkTx(recipient=recipient, ciphertext=ciphertext, timestamp=timestamp)
-    return LinkTx(
-        recipient=tx.recipient,
-        ciphertext=tx.ciphertext,
-        timestamp=tx.timestamp,
-        sig=crypto.sign(storage.secret_key, tx_signing_bytes(tx)),
-    )
+    return signed(LinkTx(recipient=recipient, ciphertext=ciphertext, timestamp=timestamp), storage)
 
 
 def make_storage(
     storage: crypto.KeyPair, nonce: bytes, user_pk: bytes, timestamp: int
 ) -> StorageTx:
-    tx = StorageTx(nonce=nonce, timestamp=timestamp, user_pk=user_pk)
-    return StorageTx(
-        nonce=tx.nonce,
-        timestamp=tx.timestamp,
-        user_pk=tx.user_pk,
-        sig=crypto.sign(storage.secret_key, tx_signing_bytes(tx)),
-    )
+    return signed(StorageTx(nonce=nonce, timestamp=timestamp, user_pk=user_pk), storage)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +342,6 @@ class Block:
             "payload": self.payload,
             "sig": self.sig.hex(),
         }
-
-
-def block_signing_bytes(block: Block) -> bytes:
-    d = block.to_dict()
-    d.pop("sig")
-    return canonical_bytes(d)
 
 
 def block_canonical_bytes(block: Block) -> bytes:
@@ -435,15 +413,6 @@ class Chain:
         return ValidatorSet(
             tuple(bytes.fromhex(v) for v in self.genesis_payload["validators"])
         )
-
-    @property
-    def admin_pk(self) -> bytes:
-        return bytes.fromhex(self.genesis_payload["admin_pk"])
-
-    @property
-    def storage_pk(self) -> bytes | None:
-        value = self.genesis_payload.get("storage_pk")
-        return bytes.fromhex(value) if value else None
 
     @property
     def height(self) -> int:
@@ -533,23 +502,10 @@ def genesis(
         proposer=proposer.public_key,
         payload=payload,
     )
-    block = _sign_block(block, proposer)
+    block = signed(block, proposer)
     chain = Chain()
     append_block(chain, block)
     return chain
-
-
-def _sign_block(block: Block, proposer: crypto.KeyPair) -> Block:
-    return Block(
-        height=block.height,
-        prev_hash=block.prev_hash,
-        tx_root=block.tx_root,
-        transactions=block.transactions,
-        timestamp=block.timestamp,
-        proposer=block.proposer,
-        payload=block.payload,
-        sig=crypto.sign(proposer.secret_key, block_signing_bytes(block)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +528,18 @@ class Mempool:
         tx: Transaction,
         now: int,
         window: int = DEFAULT_FRESHNESS_WINDOW,
-    ) -> bool:
+    ) -> str | None:
         """Admit the transaction if it is fresh and correctly signed.
 
-        Rejection is a value, not an error; callers that need the cause for
-        the malicious-activity log use :func:`rejection_reason`.
+        Rejection is a value, not an error: the :func:`rejection_reason`
+        label is returned, and None means the transaction was admitted.
         """
-        if rejection_reason(chain, tx, now, window, pending=self._pending_nonces):
-            return False
-        self._queue.append(tx)
-        if isinstance(tx, AccReqTx):
-            self._pending_nonces.add(tx.nonce)
-        return True
+        reason = rejection_reason(chain, tx, now, window, pending=self._pending_nonces)
+        if reason is None:
+            self._queue.append(tx)
+            if isinstance(tx, AccReqTx):
+                self._pending_nonces.add(tx.nonce)
+        return reason
 
     def drain(self, max_count: int = DEFAULT_BATCH_SIZE) -> list[Transaction]:
         taken = self._queue[:max_count]
@@ -594,6 +550,39 @@ class Mempool:
         return taken
 
 
+def check_tx(genesis_payload: dict, tx: Transaction) -> str | None:
+    """The signer rule: each kind must be signed by its known key.
+
+    Setup transactions by the genesis admin (and with valid metadata),
+    access requests by the requesting user, links and storage records by
+    the genesis storage key; verified hand-offs are unsigned by design.
+    Returns ``not-admin``, ``bad-signature``, ``malformed`` or
+    ``unknown-kind``, or None when the transaction passes.  Admission and
+    block validation both apply it.
+    """
+    if isinstance(tx, SetupTx):
+        if tx.admin_pk.hex() != genesis_payload.get("admin_pk"):
+            return "not-admin"
+        if not crypto.verify_sig(tx.admin_pk, signing_bytes(tx), tx.sig):
+            return "bad-signature"
+        try:
+            check_metadata(tx.metadata)
+        except ValueError:
+            return "malformed"
+    elif isinstance(tx, AccReqTx):
+        if not crypto.verify_sig(tx.user_pk, signing_bytes(tx), tx.sig):
+            return "bad-signature"
+    elif isinstance(tx, (LinkTx, StorageTx)):
+        storage_hex = genesis_payload.get("storage_pk")
+        if not storage_hex or not crypto.verify_sig(
+            bytes.fromhex(storage_hex), signing_bytes(tx), tx.sig
+        ):
+            return "bad-signature"
+    elif not isinstance(tx, VerifiedTx):
+        return "unknown-kind"
+    return None
+
+
 def rejection_reason(
     chain: Chain,
     tx: Transaction,
@@ -601,34 +590,15 @@ def rejection_reason(
     window: int = DEFAULT_FRESHNESS_WINDOW,
     pending: set[bytes] | None = None,
 ) -> str | None:
-    """Why a transaction would be refused admission, or None if acceptable."""
+    """Why a transaction would be refused admission, or None if acceptable:
+    ``stale``, then any :func:`check_tx` label, then ``replayed-nonce``."""
     if abs(now - tx.timestamp) > window:
         return "stale"
-    if isinstance(tx, SetupTx):
-        if tx.admin_pk != chain.admin_pk:
-            return "not-admin"
-        if not crypto.verify_sig(tx.admin_pk, tx_signing_bytes(tx), tx.sig):
-            return "bad-signature"
-        try:
-            check_metadata(tx.metadata)
-        except ValueError:
-            return "malformed"
-    elif isinstance(tx, AccReqTx):
-        if not crypto.verify_sig(tx.user_pk, tx_signing_bytes(tx), tx.sig):
-            return "bad-signature"
+    reason = check_tx(chain.genesis_payload, tx)
+    if reason is None and isinstance(tx, AccReqTx):
         if chain.nonce_seen(tx.nonce) or (pending and tx.nonce in pending):
             return "replayed-nonce"
-    elif isinstance(tx, (LinkTx, StorageTx)):
-        storage_pk = chain.storage_pk
-        if storage_pk is None or not crypto.verify_sig(
-            storage_pk, tx_signing_bytes(tx), tx.sig
-        ):
-            return "bad-signature"
-    elif isinstance(tx, VerifiedTx):
-        pass  # unsigned by design; freshness already checked
-    else:
-        return "unknown-kind"
-    return None
+    return reason
 
 
 def produce_block(
@@ -655,25 +625,7 @@ def produce_block(
         timestamp=timestamp,
         proposer=proposer.public_key,
     )
-    return _sign_block(block, proposer)
-
-
-def _tx_signature_valid(chain_or_payload: dict, tx: Transaction) -> bool:
-    payload = chain_or_payload
-    if isinstance(tx, SetupTx):
-        if tx.admin_pk.hex() != payload.get("admin_pk"):
-            return False
-        return crypto.verify_sig(tx.admin_pk, tx_signing_bytes(tx), tx.sig)
-    if isinstance(tx, AccReqTx):
-        return crypto.verify_sig(tx.user_pk, tx_signing_bytes(tx), tx.sig)
-    if isinstance(tx, (LinkTx, StorageTx)):
-        storage_hex = payload.get("storage_pk")
-        if not storage_hex:
-            return False
-        return crypto.verify_sig(
-            bytes.fromhex(storage_hex), tx_signing_bytes(tx), tx.sig
-        )
-    return isinstance(tx, VerifiedTx)
+    return signed(block, proposer)
 
 
 def validate_block(chain: Chain, block: Block) -> bool:
@@ -707,10 +659,10 @@ def validate_block(chain: Chain, block: Block) -> bool:
             return False
     if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
         return False
-    if not crypto.verify_sig(block.proposer, block_signing_bytes(block), block.sig):
+    if not crypto.verify_sig(block.proposer, signing_bytes(block), block.sig):
         return False
     payload = block.payload if block.height == 0 else chain.genesis_payload
-    return all(_tx_signature_valid(payload, tx) for tx in block.transactions)
+    return all(check_tx(payload, tx) is None for tx in block.transactions)
 
 
 def append_block(chain: Chain, block: Block) -> None:

@@ -61,14 +61,17 @@ def binary_repr(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def encode_pair(user_attrs, resource_attrs) -> tuple[int, ...]:
-    """64-bit input: 8 user attributes then 8 resource attributes, 4 bits each."""
+def encode_attrs(attrs) -> tuple[int, ...]:
+    """32 bits: the 8 validated attributes, 4 bits each, big-endian."""
     bits: list[int] = []
-    for a in check_metadata(user_attrs):
-        bits.extend(binary_repr(a, ATTRIBUTE_BITS))
-    for a in check_metadata(resource_attrs):
+    for a in check_metadata(attrs):
         bits.extend(binary_repr(a, ATTRIBUTE_BITS))
     return tuple(bits)
+
+
+def encode_pair(user_attrs, resource_attrs) -> tuple[int, ...]:
+    """64-bit input: 8 user attributes then 8 resource attributes, 4 bits each."""
+    return encode_attrs(user_attrs) + encode_attrs(resource_attrs)
 
 
 def _as_f32_exact(a: np.ndarray) -> np.ndarray:
@@ -129,12 +132,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _forward_all(model: DecisionModel, inputs: np.ndarray) -> list[np.ndarray]:
+def _forward_all(layers, inputs: np.ndarray) -> list[np.ndarray]:
     """Activations per layer for a batch; last entry is the score matrix."""
     activations = [inputs]
     h = inputs
-    last = len(model.layers) - 1
-    for i, (weights, biases) in enumerate(model.layers):
+    last = len(layers) - 1
+    for i, (weights, biases) in enumerate(layers):
         z = h @ weights.T + biases
         h = _sigmoid(z) if i == last else np.maximum(z, 0.0)
         activations.append(h)
@@ -146,7 +149,7 @@ def infer(model: DecisionModel, bits) -> tuple[float, ...]:
     x = np.asarray(bits, dtype=np.float64)
     if x.shape != (INPUT_WIDTH,):
         raise ValueError(f"input must have width {INPUT_WIDTH}")
-    scores = _forward_all(model, x[None, :])[-1][0]
+    scores = _forward_all(model.layers, x[None, :])[-1][0]
     return tuple(float(s) for s in scores)
 
 
@@ -160,11 +163,6 @@ def threshold_decide(scores, threshold: float = 0.5) -> tuple[bool, ...]:
 def _bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     p = np.clip(scores, 1e-12, 1.0 - 1e-12)
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
-
-
-def _gradients(model: DecisionModel, inputs: np.ndarray, labels: np.ndarray):
-    """Analytic gradient of mean BCE w.r.t. every weight and bias."""
-    return _raw_gradients(model.layers, inputs, labels)
 
 
 @dataclass(frozen=True)
@@ -214,13 +212,8 @@ def train(dataset: "SyntheticDataset", config: TrainConfig) -> DecisionModel:
 
 
 def _raw_gradients(layers, inputs: np.ndarray, labels: np.ndarray):
-    activations = [inputs]
-    h = inputs
-    last = len(layers) - 1
-    for i, (weights, biases) in enumerate(layers):
-        z = h @ weights.T + biases
-        h = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-        activations.append(h)
+    """Analytic gradient of mean BCE w.r.t. every weight and bias."""
+    activations = _forward_all(layers, inputs)
     # sigmoid + BCE gives dL/dz directly
     delta = (activations[-1] - labels) / labels.size
     grads = [None] * len(layers)
@@ -241,7 +234,7 @@ def accuracy(model: DecisionModel, tuples, threshold: float = 0.5) -> float:
         dtype=np.float64,
     )
     labels = np.array([t.labels for t in tuples], dtype=bool)
-    scores = _forward_all(model, inputs)[-1]
+    scores = _forward_all(model.layers, inputs)[-1]
     return float(((scores >= threshold) == labels).mean())
 
 
@@ -260,16 +253,11 @@ def gradient_check(model: DecisionModel, sample, step: float = 1e-4) -> float:
     x = np.asarray(bits, dtype=np.float64)[None, :]
     y = np.asarray(labels, dtype=np.float64)[None, :]
 
-    analytic = _gradients(model, x, y)
+    analytic = _raw_gradients(model.layers, x, y)
     mutable = [(w.copy(), b.copy()) for w, b in model.layers]
 
     def loss() -> float:
-        h = x
-        last = len(mutable) - 1
-        for i, (weights, biases) in enumerate(mutable):
-            z = h @ weights.T + biases
-            h = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-        return _bce_loss(h, y)
+        return _bce_loss(_forward_all(mutable, x)[-1], y)
 
     worst = 0.0
     for layer, (weights, biases) in enumerate(mutable):

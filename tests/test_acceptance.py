@@ -154,7 +154,7 @@ def test_criterion_4_chain_immutability():
                 transactions=rogue.transactions,
                 timestamp=rogue.timestamp,
                 proposer=rogue.proposer,
-                sig=crypto.sign(validator.secret_key, ledger.block_signing_bytes(rogue)),
+                sig=crypto.sign(validator.secret_key, ledger.signing_bytes(rogue)),
             )
             assert not ledger.validate_block(world.chain, rogue)
             wrong_proposer_rejections += 1
@@ -163,7 +163,7 @@ def test_criterion_4_chain_immutability():
             users[height % len(users)], height % 10, "read",
             crypto.gen_nonce(nonce_rng), clock.now(),
         )
-        assert world.mempool.submit(world.chain, tx, clock.now())
+        assert world.mempool.submit(world.chain, tx, clock.now()) is None
         honest = next(
             v for v in world.validators if v.public_key == scheduled
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -223,6 +224,22 @@ class TestConcurrency:
 
 
 class TestArtifacts:
+    def test_artifact_bytes_pinned(self, tmp_path):
+        # Chain, state and log bytes of a fixed run after every scenario and
+        # mutation.  Weights are left out: float results can differ between
+        # BLAS builds.
+        world = H.setup_world(3, 30, 12, seed=0)
+        assert all(r.passed for r in H.run_all_scenarios(world))
+        for mutation in H.TAMPER_MUTATIONS:
+            assert H.tamper(world, mutation).caught
+        paths = [tmp_path / name for name in ("chain.jsonl", "state.json", "log.jsonl")]
+        H.save_world_artifacts(world, *paths)
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
+            "0f1602bde6a7a60f3afa5cf9a8d3c01802f5f3c774d215f1e683932549eda423",
+            "20fd507331477ef7b8427968fb904d206dcf8d4d71de9a1031c431e4410e604a",
+            "c2aa49eb194e220a37e0079c07c8f118909466da3779136f6265994bd1c9553a",
+        ]
+
     def test_save_world_artifacts_deterministic(self, tmp_path):
         for run in ("a", "b"):
             world = build_small_world(seed=31)

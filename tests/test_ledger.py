@@ -49,12 +49,12 @@ def build_chain_with_users(n_blocks: int = 3, now: int = 1_700_000_000):
     chain = fresh_chain()
     mempool = ledger.Mempool()
     for i, user in enumerate(USERS):
-        assert mempool.submit(chain, ledger.make_setup(ADMIN, user.public_key, ATTRS, now), now)
+        assert mempool.submit(chain, ledger.make_setup(ADMIN, user.public_key, ATTRS, now), now) is None
     mine(chain, mempool, now)
     nonce_rng = crypto.seeded_rng(b"ledger-test-nonces" + bytes(14))
     while chain.height < n_blocks:
         tx = ledger.make_accreq(USERS[0], 1, "read", crypto.gen_nonce(nonce_rng), now)
-        assert mempool.submit(chain, tx, now)
+        assert mempool.submit(chain, tx, now) is None
         mine(chain, mempool, now)
     return chain, mempool
 
@@ -123,24 +123,22 @@ class TestSubmit:
 
     def test_fresh_signed_accreq_accepted(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now)
-        assert self.mempool.submit(self.chain, tx, self.now)
+        assert self.mempool.submit(self.chain, tx, self.now) is None
 
     def test_ten_minute_old_request_rejected(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now - 600)
-        assert not self.mempool.submit(self.chain, tx, self.now)
-        assert ledger.rejection_reason(self.chain, tx, self.now) == "stale"
+        assert self.mempool.submit(self.chain, tx, self.now) == "stale"
 
     def test_boundary_of_freshness_window(self):
         at_edge = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now - 120)
         beyond = ledger.make_accreq(USERS[0], 1, "read", bytes(1) * 16, self.now - 121)
-        assert self.mempool.submit(self.chain, at_edge, self.now)
-        assert not self.mempool.submit(self.chain, beyond, self.now)
+        assert self.mempool.submit(self.chain, at_edge, self.now) is None
+        assert self.mempool.submit(self.chain, beyond, self.now) == "stale"
 
     def test_setup_by_non_admin_rejected(self):
         impostor = kp("impostor")
         tx = ledger.make_setup(impostor, USERS[0].public_key, ATTRS, self.now)
-        assert not self.mempool.submit(self.chain, tx, self.now)
-        assert ledger.rejection_reason(self.chain, tx, self.now) == "not-admin"
+        assert self.mempool.submit(self.chain, tx, self.now) == "not-admin"
 
     def test_tampered_signature_rejected(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now)
@@ -152,21 +150,20 @@ class TestSubmit:
             nonce=tx.nonce,
             sig=tx.sig,
         )
-        assert not self.mempool.submit(self.chain, forged, self.now)
+        assert self.mempool.submit(self.chain, forged, self.now) == "bad-signature"
 
     def test_duplicate_nonce_rejected_in_mempool(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", b"\x07" * 16, self.now)
         again = ledger.make_accreq(USERS[0], 2, "write", b"\x07" * 16, self.now)
-        assert self.mempool.submit(self.chain, tx, self.now)
-        assert not self.mempool.submit(self.chain, again, self.now)
+        assert self.mempool.submit(self.chain, tx, self.now) is None
+        assert self.mempool.submit(self.chain, again, self.now) == "replayed-nonce"
 
     def test_duplicate_nonce_rejected_after_mining(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", b"\x09" * 16, self.now)
-        assert self.mempool.submit(self.chain, tx, self.now)
+        assert self.mempool.submit(self.chain, tx, self.now) is None
         mine(self.chain, self.mempool, self.now)
         replay = ledger.make_accreq(USERS[0], 1, "read", b"\x09" * 16, self.now)
-        assert not self.mempool.submit(self.chain, replay, self.now)
-        assert ledger.rejection_reason(self.chain, replay, self.now) == "replayed-nonce"
+        assert self.mempool.submit(self.chain, replay, self.now) == "replayed-nonce"
 
     def test_fifo_order_preserved(self):
         txs = [
@@ -174,7 +171,7 @@ class TestSubmit:
             for i in range(5)
         ]
         for tx in txs:
-            assert self.mempool.submit(self.chain, tx, self.now)
+            assert self.mempool.submit(self.chain, tx, self.now) is None
         drained = self.mempool.drain(100)
         assert [t.resource_id for t in drained] == [0, 1, 2, 3, 4]
 
@@ -232,7 +229,7 @@ class TestBlocks:
             proposer=VALIDATORS[2].public_key,
             sig=crypto.sign(
                 VALIDATORS[2].secret_key,
-                ledger.block_signing_bytes(
+                ledger.signing_bytes(
                     ledger.Block(
                         height=block.height,
                         prev_hash=block.prev_hash,
@@ -272,6 +269,34 @@ class TestBlocks:
             sig=block.sig,
         )
         assert not ledger.validate_block(self.chain, mutated)
+
+    def test_admin_signed_setup_with_bad_metadata_invalid(self):
+        # admission refuses this as "malformed"; block validation must too
+        setup = ledger.signed(
+            ledger.SetupTx(
+                admin_pk=ADMIN.public_key,
+                user_pk=USERS[0].public_key,
+                metadata=(99,) + (0,) * 7,
+                timestamp=self.now,
+            ),
+            ADMIN,
+        )
+        proposer = scheduled(self.chain)
+        block = ledger.signed(
+            ledger.Block(
+                height=self.chain.height,
+                prev_hash=self.chain.tip_hash(),
+                tx_root=ledger.merkle_root([ledger.tx_digest(setup)]),
+                transactions=(setup,),
+                timestamp=self.now,
+                proposer=proposer.public_key,
+            ),
+            proposer,
+        )
+        assert not ledger.validate_block(self.chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(self.chain, block)
+        assert self.chain.height == 1
 
     def test_append_invalid_leaves_chain_unchanged(self):
         block = ledger.produce_block(self.chain, self.mempool, scheduled(self.chain), self.now)

@@ -90,7 +90,7 @@ class TestIssueLink:
         node = make_node()
         _, _, tx = issue(node)
         assert crypto.verify_sig(
-            STORAGE_KEYS.public_key, ledger.tx_signing_bytes(tx), tx.sig
+            STORAGE_KEYS.public_key, ledger.signing_bytes(tx), tx.sig
         )
 
     def test_non_granting_decision_refused_and_logged(self):
