@@ -12,11 +12,14 @@ deterministically from one 32-byte seed, so worlds rebuilt from the same
 seed carry identical identities.
 
 Every operation is pure or draws from an explicitly injected
-:class:`RandomSource`; there is no hidden global randomness.
+:class:`RandomSource`; there is no hidden global randomness.  Parsed key
+objects are kept in bounded per-process caches (``KEY_CACHE_SIZE`` entries
+each), so signing, verifying and decrypting with a known key skip the parse.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ SEED_SIZE = 32
 PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
+KEY_CACHE_SIZE = 4096  # parsed keys held per cache
 
 _ZERO_AEAD_NONCE = b"\x00" * 12  # fresh key per message, so a fixed nonce is safe
 _ECIES_INFO = b"authchain/ecies/v1"
@@ -120,11 +124,28 @@ def keygen(seed: bytes) -> KeyPair:
     return KeyPair(public_key=sign_pk + enc_pk, secret_key=sign_seed + enc_seed)
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _verify_key(raw: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(raw)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _decrypt_key(seed: bytes) -> tuple[X25519PrivateKey, bytes]:
+    """The X25519 private key and its raw public bytes."""
+    key = X25519PrivateKey.from_private_bytes(seed)
+    return key, _raw_public(key.public_key())
+
+
 def sign(secret_key: bytes, message: bytes) -> bytes:
     """Ed25519 signature over the message bytes."""
     if len(secret_key) != SECRET_KEY_SIZE:
         raise ValueError("malformed secret key")
-    return Ed25519PrivateKey.from_private_bytes(secret_key[:32]).sign(message)
+    return _signing_key(secret_key[:32]).sign(message)
 
 
 def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -134,9 +155,7 @@ def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(
-            signature, message
-        )
+        _verify_key(public_key[:32]).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
     return True
@@ -176,8 +195,7 @@ def decrypt(secret_key: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < 32 + 16:
         raise DecryptError("ciphertext too short")
     ephemeral_pk = ciphertext[:32]
-    own = X25519PrivateKey.from_private_bytes(secret_key[32:])
-    own_pk = _raw_public(own.public_key())
+    own, own_pk = _decrypt_key(secret_key[32:])
     try:
         shared = own.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
         key = _session_key(shared, ephemeral_pk, own_pk)

@@ -728,9 +728,23 @@ def save_world_artifacts(
 
 
 def load_contract_state(path) -> dict:
+    """Parse the contract-state sidecar; raises :class:`FormatError` unless
+    it is an object whose log root is a string and whose root history is a
+    list of ``{"root": str, "height": int}`` entries."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        state = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"state file: {exc}") from exc
+    if not isinstance(state, dict):
+        raise FormatError("state file: not a JSON object")
+    if not isinstance(state.get(STATE_ROOT_KEY, ""), str):
+        raise FormatError(f"state file: {STATE_ROOT_KEY} is not a string")
+    history = state.get(STATE_ROOT_HISTORY_KEY, [])
+    if not isinstance(history, list) or not all(
+        isinstance(h, dict) and isinstance(h.get("root"), str) and isinstance(h.get("height"), int)
+        for h in history
+    ):
+        raise FormatError(f"state file: malformed {STATE_ROOT_HISTORY_KEY}")
+    return state

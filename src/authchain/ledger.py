@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, ClassVar, Union
 
 from . import crypto
@@ -396,6 +397,10 @@ class Chain:
         self.memory: dict[str, Any] = {}
         self.contract_state: dict[str, Any] = {}
         self._seen_nonces: set[bytes] = set()
+        # digests of transactions that passed check_tx at admission and are
+        # not yet in a block; block validation skips check_tx for them
+        self._admitted: set[bytes] = set()
+        self._tip_hash: bytes | None = None
 
     # -- genesis-derived configuration ------------------------------------
 
@@ -408,7 +413,7 @@ class Chain:
             raise FormatError("genesis block carries no payload")
         return payload
 
-    @property
+    @cached_property
     def validator_set(self) -> ValidatorSet:
         return ValidatorSet(
             tuple(bytes.fromhex(v) for v in self.genesis_payload["validators"])
@@ -419,7 +424,9 @@ class Chain:
         return len(self.blocks)
 
     def tip_hash(self) -> bytes:
-        return block_hash(self.blocks[-1]) if self.blocks else ZERO_DIGEST
+        if self._tip_hash is None:
+            self._tip_hash = block_hash(self.blocks[-1]) if self.blocks else ZERO_DIGEST
+        return self._tip_hash
 
     def nonce_seen(self, nonce: bytes) -> bool:
         return nonce in self._seen_nonces
@@ -533,9 +540,12 @@ class Mempool:
 
         Rejection is a value, not an error: the :func:`rejection_reason`
         label is returned, and None means the transaction was admitted.
+        The admitted digest is recorded on the chain, so block validation
+        does not check the same bytes again.
         """
         reason = rejection_reason(chain, tx, now, window, pending=self._pending_nonces)
         if reason is None:
+            chain._admitted.add(tx_digest(tx))
             self._queue.append(tx)
             if isinstance(tx, AccReqTx):
                 self._pending_nonces.add(tx.nonce)
@@ -629,48 +639,65 @@ def produce_block(
 
 
 def validate_block(chain: Chain, block: Block) -> bool:
-    """Full structural check of a candidate for the chain's next height."""
+    """Full structural check of a candidate for the chain's next height.
+
+    A transaction whose digest this chain admitted skips :func:`check_tx`:
+    the digest covers every byte the check reads.  A fresh chain has
+    admitted nothing, so replay checks every transaction.
+    """
+    return _block_digests(chain, block) is not None
+
+
+def _block_digests(chain: Chain, block: Block) -> list[bytes] | None:
+    """The block's transaction digests if it is valid, else None."""
     if block.height != chain.height:
-        return False
+        return None
     if block.height == 0:
         payload = block.payload
         if not isinstance(payload, dict):
-            return False
+            return None
         try:
             validators = ValidatorSet(
                 tuple(bytes.fromhex(v) for v in payload["validators"])
             )
         except (ConfigError, KeyError, TypeError, ValueError):
-            return False
+            return None
         if block.prev_hash != ZERO_DIGEST or block.transactions:
-            return False
+            return None
         if block.proposer != validators.scheduled(0):
-            return False
+            return None
     else:
         if block.payload is not None:
-            return False
+            return None
         try:
             validators = chain.validator_set
         except (FormatError, ValueError):
-            return False
+            return None
         if block.prev_hash != chain.tip_hash():
-            return False
+            return None
         if block.proposer != validators.scheduled(block.height):
-            return False
-    if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
-        return False
+            return None
+    digests = [tx_digest(t) for t in block.transactions]
+    if block.tx_root != merkle_root(digests):
+        return None
     if not crypto.verify_sig(block.proposer, signing_bytes(block), block.sig):
-        return False
+        return None
     payload = block.payload if block.height == 0 else chain.genesis_payload
-    return all(check_tx(payload, tx) is None for tx in block.transactions)
+    for digest, tx in zip(digests, block.transactions):
+        if digest not in chain._admitted and check_tx(payload, tx) is not None:
+            return None
+    return digests
 
 
 def append_block(chain: Chain, block: Block) -> None:
     """Validate and append; an invalid block leaves the chain unchanged."""
-    if not validate_block(chain, block):
+    digests = _block_digests(chain, block)
+    if digests is None:
         raise FormatError(f"invalid block at height {block.height}")
     chain.blocks.append(block)
     chain._apply_effects(block)
+    chain._admitted.difference_update(digests)
+    chain._tip_hash = block_hash(block)
 
 
 def validate_chain(chain: Chain) -> bool:

@@ -190,6 +190,24 @@ class TestWorldCommands:
              "--state", str(tmp_path / "state.json")]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            [1, 2],
+            {"malicious_root": 5},
+            {"malicious_roots": [{"height": 3}]},
+            {"malicious_roots": [{"root": "00"}]},
+        ],
+        ids=["list", "numeric-root", "history-without-root", "history-without-height"],
+    )
+    def test_verify_log_malformed_state_unreadable(self, tmp_path, capsys, state):
+        log_file = tmp_path / "log.jsonl"
+        log_file.write_bytes(b"")
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(state))
+        assert dispatch(["verify-log", "--log", str(log_file), "--state", str(state_file)]) == 1
+        assert capsys.readouterr().out.startswith("Compromised (unreadable: ")
+
     def test_request_prints_outcome(self, tmp_path, capsys):
         code = dispatch(
             ["request", "--user", "0", "--resource", "999999", "--op", "read",

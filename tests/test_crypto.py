@@ -7,6 +7,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from authchain import crypto
 from authchain.errors import DecryptError
 
@@ -148,6 +150,18 @@ class TestSignatures:
     def test_malformed_secret_key_raises(self):
         with pytest.raises(ValueError):
             crypto.sign(b"tiny", b"m")
+
+
+class TestKeyCaches:
+    def test_cached_sign_matches_uncached(self):
+        pair = crypto.keygen(b"c" * 32)
+        for message in (b"", b"first", b"first"):
+            expected = Ed25519PrivateKey.from_private_bytes(pair.secret_key[:32]).sign(message)
+            assert crypto.sign(pair.secret_key, message) == expected
+
+    def test_caches_bounded_by_module_constant(self):
+        for cache in (crypto._signing_key, crypto._verify_key, crypto._decrypt_key):
+            assert cache.cache_info().maxsize == crypto.KEY_CACHE_SIZE
 
 
 class TestEncryption:

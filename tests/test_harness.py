@@ -223,6 +223,50 @@ class TestConcurrency:
         assert verdict.ok
 
 
+class TestCryptoCounts:
+    @staticmethod
+    def count_calls(monkeypatch) -> dict[str, int]:
+        counts = {"verify": 0, "sign": 0}
+        for name, attr in (("verify", "verify_sig"), ("sign", "sign")):
+            inner = getattr(crypto, attr)
+
+            def counted(*args, _inner=inner, _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(crypto, attr, counted)
+        return counts
+
+    def test_verify_and_sign_counts_per_request(self, monkeypatch):
+        world = H.setup_world(3, 30, 12, seed=0)
+        counts = self.count_calls(monkeypatch)
+        cases = {
+            "allowed": (H.find_case(world, want_grant=True), (7, 6)),
+            "denied:model-denied": (H.find_case(world, want_grant=False), (4, 3)),
+            "denied:wrong-resource": ((0, 10**6, "read"), (4, 3)),
+            "denied:unauthenticated": ((len(world.users), 0, "read"), (2, 2)),
+        }
+        for verdict, (case, expected) in cases.items():
+            counts.update(verify=0, sign=0)
+            assert H.run_request(world, *case).verdict == verdict
+            assert (counts["verify"], counts["sign"]) == expected, verdict
+
+    def test_replay_from_disk_verifies_every_signature(self, tmp_path, monkeypatch):
+        world = H.setup_world(3, 30, 12, seed=0)
+        H.run_all_scenarios(world)
+        path = tmp_path / "chain.jsonl"
+        H.save_world_artifacts(world, chain_path=path)
+        loaded = ledger.load_chain(path)
+        signed_txs = sum(
+            not isinstance(tx, ledger.VerifiedTx)
+            for block in loaded.blocks
+            for tx in block.transactions
+        )
+        counts = self.count_calls(monkeypatch)
+        assert ledger.validate_chain(loaded)
+        assert counts["verify"] == len(loaded.blocks) + signed_txs
+
+
 class TestArtifacts:
     def test_artifact_bytes_pinned(self, tmp_path):
         # Chain, state and log bytes of a fixed run after every scenario and

@@ -8,8 +8,10 @@ import random
 
 import pytest
 
-from authchain import crypto, ledger
+from authchain import crypto, harness as H, ledger
 from authchain.errors import ConfigError, FormatError, ScheduleError
+from authchain.model import OPERATIONS
+from conftest import build_small_world
 
 
 def kp(tag: str) -> crypto.KeyPair:
@@ -270,6 +272,49 @@ class TestBlocks:
         )
         assert not ledger.validate_block(self.chain, mutated)
 
+    def test_admitted_signature_on_mutated_copy_rejected(self):
+        # the admitted digest must not vouch for a copy with other bytes
+        original = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now)
+        assert self.mempool.submit(self.chain, original, self.now) is None
+        mutated = ledger.AccReqTx(
+            user_pk=original.user_pk,
+            timestamp=original.timestamp,
+            resource_id=99,
+            operation=original.operation,
+            nonce=original.nonce,
+            sig=original.sig,
+        )
+        proposer = scheduled(self.chain)
+        block = ledger.signed(
+            ledger.Block(
+                height=self.chain.height,
+                prev_hash=self.chain.tip_hash(),
+                tx_root=ledger.merkle_root([ledger.tx_digest(mutated)]),
+                transactions=(mutated,),
+                timestamp=self.now,
+                proposer=proposer.public_key,
+            ),
+            proposer,
+        )
+        with pytest.raises(FormatError):
+            ledger.append_block(self.chain, block)
+        assert self.chain.height == 1
+        mine(self.chain, self.mempool, self.now)
+        assert self.chain.blocks[-1].transactions == (original,)
+        assert not self.chain._admitted
+
+    def test_admitted_digests_drained_by_requests(self):
+        world = build_small_world(seed=11)
+        assert not world.chain._admitted
+        rng = random.Random(11)
+        n_users = len(world.users)
+        resource_ids = [rid for rid, _ in world.dataset.resources]
+        for _ in range(120):
+            user_index = rng.randrange(n_users + 2)  # a few outsiders
+            resource_id = rng.choice(resource_ids + [10**6])
+            H.run_request(world, user_index, resource_id, rng.choice(OPERATIONS))
+            assert not world.chain._admitted
+
     def test_admin_signed_setup_with_bad_metadata_invalid(self):
         # admission refuses this as "malformed"; block validation must too
         setup = ledger.signed(
@@ -352,6 +397,39 @@ class TestChainState:
         chain, _ = build_chain_with_users()
         chain.put_contract_state("some/key", {"v": 1})
         assert ledger.memory_get(chain, "some/key") == {"v": 1}
+
+
+class TestTipHashCache:
+    def assert_coherent(self, chain):
+        assert chain.tip_hash() == ledger.block_hash(chain.blocks[-1])
+
+    def test_after_genesis(self):
+        self.assert_coherent(fresh_chain())
+
+    def test_after_each_append(self):
+        chain, mempool = fresh_chain(), ledger.Mempool()
+        now = 1_700_000_000
+        for i, user in enumerate(USERS):
+            assert mempool.submit(chain, ledger.make_setup(ADMIN, user.public_key, ATTRS, now), now) is None
+            mine(chain, mempool, now + i)
+            self.assert_coherent(chain)
+
+    def test_after_rejected_append(self):
+        chain = fresh_chain()
+        before = chain.tip_hash()
+        block = ledger.produce_block(chain, ledger.Mempool(), scheduled(chain), 1_700_000_000)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, ledger.signed(block, VALIDATORS[2]))
+        assert chain.tip_hash() == before
+        self.assert_coherent(chain)
+
+    def test_after_load(self, tmp_path):
+        chain, _ = build_chain_with_users(n_blocks=5)
+        path = tmp_path / "chain.jsonl"
+        ledger.save_chain(chain, path)
+        loaded = ledger.load_chain(path)
+        self.assert_coherent(loaded)
+        assert loaded.tip_hash() == chain.tip_hash()
 
 
 class TestTamperEvidence:
