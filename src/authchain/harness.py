@@ -37,8 +37,10 @@ from .contracts import (
 )
 from .errors import ConfigError, DecryptError, FormatError, ScheduleError
 from .ledger import (
+    AccReqTx,
     Block,
     Chain,
+    LinkTx,
     LogicalClock,
     Mempool,
     ValidatorSet,
@@ -51,7 +53,6 @@ from .ledger import (
     merkle_root,
     parse_chain_lines,
     produce_block,
-    query_history,
     save_chain,
     signed,
     tx_canonical_bytes,
@@ -294,10 +295,13 @@ def _mirror_rules(world: World) -> None:
 
 
 def _mirror_root(world: World) -> None:
-    world.chain.put_contract_state(STATE_ROOT_KEY, world.storage_node.log.root.hex())
-    world.chain.put_contract_state(
-        STATE_ROOT_HISTORY_KEY, [dict(h) for h in world.storage_node.log.history]
-    )
+    """Mirror the log root, and append copies of the history entries the
+    contract state does not hold yet (the history is append-only)."""
+    log = world.storage_node.log
+    world.chain.put_contract_state(STATE_ROOT_KEY, log.root.hex())
+    mirrored = world.chain.contract_state.get(STATE_ROOT_HISTORY_KEY, [])
+    mirrored.extend(dict(h) for h in log.history[len(mirrored):])
+    world.chain.put_contract_state(STATE_ROOT_HISTORY_KEY, mirrored)
 
 
 def _after_denial(world: World, subject_hash: str) -> None:
@@ -598,8 +602,12 @@ def _granted_link_material(world: World) -> tuple[int, bytes, bytes]:
     if not outcome.allowed:
         raise LookupError(f"expected a grant, got {outcome.verdict}")
     user = world.users[user_index]
-    links = query_history(world.chain, user_pk=user.public_key, kind="link")
-    _, link_tx = links[-1]
+    # a grant mines its access request, link and storage blocks in that order
+    link_tx = next(
+        tx
+        for tx in world.chain.blocks[outcome.heights[1]].transactions
+        if isinstance(tx, LinkTx) and tx.recipient == user.public_key
+    )
     note = json.loads(crypto.decrypt(user.secret_key, link_tx.ciphertext))
     return user_index, bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"])
 
@@ -620,10 +628,12 @@ def _tamper_reuse_link(world: World) -> TamperOutcome:
 def _tamper_replay_accreq(world: World) -> TamperOutcome:
     user_index, resource_id, op = find_case(world, want_grant=True)
     outcome = run_request(world, user_index, resource_id, op)
-    accreqs = query_history(
-        world.chain, user_pk=world.users[user_index].public_key, kind="accreq"
+    user_pk = world.users[user_index].public_key
+    captured = next(
+        tx
+        for tx in world.chain.blocks[outcome.heights[0]].transactions
+        if isinstance(tx, AccReqTx) and tx.user_pk == user_pk
     )
-    _, captured = accreqs[-1]
     world.clock.tick(world.config.freshness_window + 1)
     label = world.mempool.submit(
         world.chain, captured, world.now(), world.config.freshness_window

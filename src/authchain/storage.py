@@ -13,12 +13,18 @@ roots: each flush Merkle-hashes the new records, appends the serialized
 contract outputs, and hashes them onto the previous root.  The running
 root (and its per-group history) is mirrored into ledger contract state,
 so the off-chain log can always be cross-checked against the chain.
+
+A denial's log work does not grow with history: a roll visits only the
+records appended since the previous roll, and the ban check reads a
+per-subject sorted list of ban-counted wall times instead of scanning
+every record.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -153,6 +159,9 @@ class MaliciousLog:
         self.root: bytes = ZERO_DIGEST
         self.history: list[dict] = []  # running root after each rolled group
         self._next_group = 0
+        self._rolled = 0  # records[:_rolled] are in a group, the rest pending
+        # subject -> sorted wall times of its BAN_COUNTED_REASONS records
+        self._ban_times: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -176,19 +185,22 @@ class MaliciousLog:
             wall_time=wall_time,
         )
         self.records.append(rec)
+        if reason in BAN_COUNTED_REASONS:
+            insort(self._ban_times.setdefault(subject_hash, []), wall_time)
         return rec
 
     def pending(self) -> list[MaliciousRecord]:
-        return [r for r in self.records if r.group_index is None]
+        return self.records[self._rolled:]
 
     def roll(self) -> bytes:
-        """Fold all pending records into the running root as one group."""
+        """Fold all pending records into the running root as one group,
+        replacing only the pending tail of ``records`` in place."""
         pending = self.pending()
         if not pending:
             return self.root
         rolled = [replace(r, group_index=self._next_group) for r in pending]
-        by_seq = {r.seq: r for r in rolled}
-        self.records = [by_seq.get(r.seq, r) for r in self.records]
+        self.records[self._rolled:] = rolled
+        self._rolled = len(self.records)
         self.root = roll_root(self.root, rolled, group_output_bytes(rolled))
         self.history.append(
             {
@@ -268,16 +280,9 @@ def check_ban_threshold(
     window: int = DEFAULT_BAN_WINDOW,
 ) -> bool:
     """True once the subject has reached the configured number of
-    authorization-class denials inside the trailing window."""
-    counted = {r.value for r in BAN_COUNTED_REASONS}
-    hits = sum(
-        1
-        for r in log.records
-        if r.subject_hash == subject_hash
-        and r.reason in counted
-        and r.wall_time >= now - window
-    )
-    return hits >= threshold
+    authorization-class denials dated at or after ``now - window``."""
+    times = log._ban_times.get(subject_hash, [])
+    return len(times) - bisect_left(times, now - window) >= threshold
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from authchain import crypto, harness as H, ledger, storage as S
 from authchain.errors import ConfigError
+from authchain.model import OPERATIONS
 from conftest import build_small_world
 
 
@@ -108,6 +110,26 @@ class TestRunRequest:
             world.chain.contract_state[H.STATE_ROOT_HISTORY_KEY],
         )
         assert verdict.ok
+
+    def test_root_history_mirrored_as_copies_after_mixed_denials(self, tmp_path):
+        world = build_small_world()
+        rng = random.Random(5)
+        resource_ids = [rid for rid, _ in world.dataset.resources]
+        for i in range(150):
+            if i == 75:
+                assert H.tamper(world, "reuse-link").caught
+                continue
+            user_index = rng.randrange(len(world.users) + 3)  # a few outsiders
+            resource_id = rng.choice(resource_ids + [10**6])  # and an absent one
+            H.run_request(world, user_index, resource_id, rng.choice(OPERATIONS))
+        log = world.storage_node.log
+        mirrored = world.chain.contract_state[H.STATE_ROOT_HISTORY_KEY]
+        assert len(log.history) > 50
+        assert mirrored == log.history
+        assert not any(m is h for m, h in zip(mirrored, log.history))
+        path = tmp_path / "log.jsonl"
+        H.save_world_artifacts(world, log_path=path)
+        assert S.verify_log(S.load_log(path), log.root, mirrored).ok
 
     def test_every_denial_yields_exactly_one_record(self):
         # bijection between denied outcomes and malicious records

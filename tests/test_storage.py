@@ -9,9 +9,10 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from authchain import crypto, ledger, storage as S
-from authchain.contracts import AccessList, Denial, DenialReason
+from authchain.contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
 from authchain.errors import DecryptError
 
 
@@ -257,6 +258,29 @@ class TestRollRoot:
         assert log.records[-1].group_index == 1
         assert log.roll() == second  # nothing pending
 
+    def test_roll_replaces_only_the_pending_tail_in_place(self, monkeypatch):
+        log = S.MaliciousLog()
+        for i in range(1000):
+            log.record(b"old-%d" % i, DenialReason.REPLAY, None, "s", 1, NOW + i)
+            if i % 100 == 99:
+                log.roll()
+        records = log.records
+        earlier = list(records)
+        log.record(b"new", DenialReason.STALE, None, "s", 2, NOW + 1000)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dataclasses.replace(*args, **kwargs)
+
+        monkeypatch.setattr(S, "replace", counted)
+        log.roll()
+        assert len(calls) == 1
+        assert log.records is records
+        assert all(now is then for now, then in zip(log.records, earlier))
+        assert log.records[-1].group_index == 10
+        assert log.pending() == []
+
 
 def filled_log(n_groups: int = 3) -> S.MaliciousLog:
     log = S.MaliciousLog()
@@ -351,3 +375,38 @@ class TestBanThreshold:
     def test_custom_threshold(self):
         log = self.make_log([NOW, NOW + 1])
         assert S.check_ban_threshold(log, "s", NOW + 2, threshold=2)
+
+    # narrow time ranges, so window edges and out-of-order times are common
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["s", "t"]),
+                st.sampled_from(list(DenialReason)),
+                st.integers(NOW - 20, NOW + 20),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from(["s", "t", "nobody"]),
+        st.integers(NOW - 25, NOW + 25),
+        st.integers(0, 8),
+        st.integers(0, 40),
+    )
+    # a record dated exactly at the window's start counts
+    @example([("s", DenialReason.MODEL_DENIED, NOW)], "s", NOW + 10, 1, 10)
+    def test_matches_a_linear_scan(self, entries, subject, now, threshold, window):
+        log = S.MaliciousLog()
+        for i, (who, reason, wall_time) in enumerate(entries):
+            log.record(b"t", reason, None, who, 1, wall_time)
+            if i % 7 == 6:
+                log.roll()
+        counted = {r.value for r in BAN_COUNTED_REASONS}
+        hits = sum(
+            1
+            for r in log.records
+            if r.subject_hash == subject
+            and r.reason in counted
+            and r.wall_time >= now - window
+        )
+        got = S.check_ban_threshold(log, subject, now, threshold=threshold, window=window)
+        assert got == (hits >= threshold)
