@@ -156,93 +156,6 @@ def generate_abac_policy(scale: int, seed: int) -> AbacPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Policy CSV grammar (documented in the README):
-#   RBAC:  classes,<n>        one header row
-#          cond,<role>,<attr>,<lo>,<hi>      3 per (role, attribute), in order
-#          grant,<role>,<class>,<ops>        ops pipe-separated or *
-#   ABAC:  cond,<rule>,<side>,<attr>,<lo>,<hi>
-#          ops,<rule>,<ops>
-# ---------------------------------------------------------------------------
-
-def rbac_to_csv(policy: RbacPolicy, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"classes,{policy.n_classes}\n")
-        for r, role in enumerate(policy.roles):
-            for attr, conditions in enumerate(role.guard):
-                for lo, hi in conditions:
-                    fh.write(f"cond,{r},{attr},{lo},{hi}\n")
-            for cls, mask in enumerate(role.grants):
-                ops = "|".join(op for op, on in zip(OPERATIONS, mask) if on)
-                fh.write(f"grant,{r},{cls},{ops}\n")
-
-
-def rbac_from_csv(path) -> RbacPolicy:
-    n_classes = 4
-    guards: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    grants: dict[int, dict[int, tuple[bool, ...]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            if parts[0] == "classes":
-                n_classes = int(parts[1])
-            elif parts[0] == "cond":
-                r, attr, lo, hi = (int(p) for p in parts[1:5])
-                guards.setdefault(r, {}).setdefault(attr, []).append((lo, hi))
-            elif parts[0] == "grant":
-                r, cls = int(parts[1]), int(parts[2])
-                names = {p for p in parts[3].split("|") if p}
-                grants.setdefault(r, {})[cls] = tuple(op in names for op in OPERATIONS)
-            else:
-                raise ValueError(f"unknown RBAC csv record {parts[0]!r}")
-    roles = []
-    for r in sorted(guards):
-        guard = tuple(
-            tuple(guards[r].get(attr, [])) for attr in range(N_ATTRIBUTES)
-        )
-        role_grants = tuple(
-            grants.get(r, {}).get(cls, (False,) * N_OPERATIONS)
-            for cls in range(n_classes)
-        )
-        roles.append(Role(guard=guard, grants=role_grants))
-    return RbacPolicy(roles=tuple(roles), n_classes=n_classes)
-
-
-def abac_to_csv(policy: AbacPolicy, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, rule in enumerate(policy.rules):
-            for c in rule.conditions:
-                fh.write(f"cond,{i},{c.side},{c.attr},{c.lo},{c.hi}\n")
-            ops = "|".join(op for op, on in zip(OPERATIONS, rule.ops) if on)
-            fh.write(f"ops,{i},{ops}\n")
-
-
-def abac_from_csv(path) -> AbacPolicy:
-    conditions: dict[int, list[AbacCondition]] = {}
-    ops: dict[int, tuple[bool, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            if parts[0] == "cond":
-                i, side, attr, lo, hi = (int(p) for p in parts[1:6])
-                conditions.setdefault(i, []).append(AbacCondition(side, attr, lo, hi))
-            elif parts[0] == "ops":
-                i = int(parts[1])
-                names = {p for p in parts[2].split("|") if p}
-                ops[i] = tuple(op in names for op in OPERATIONS)
-            else:
-                raise ValueError(f"unknown ABAC csv record {parts[0]!r}")
-    rules = tuple(
-        AbacRule(conditions=tuple(conditions[i]), ops=ops.get(i, (False,) * N_OPERATIONS))
-        for i in sorted(conditions)
-    )
-    return AbacPolicy(rules=rules)
-
-
-# ---------------------------------------------------------------------------
 # Timing harness
 # ---------------------------------------------------------------------------
 

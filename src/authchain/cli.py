@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import bench as bench_mod
-from .config import Config, load_config
+from .config import Config, read_config_values
 from .errors import AuthchainError, ConfigError, FormatError
 from .harness import (
     TAMPER_MUTATIONS,
@@ -26,7 +27,6 @@ from .harness import (
 )
 from .ledger import ZERO_DIGEST, canonical_bytes, load_chain, validate_chain
 from .model import (
-    TrainConfig,
     accuracy,
     dataset_to_csv,
     generate_dataset,
@@ -39,26 +39,18 @@ from .storage import load_log, verify_log
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, validate=False)
-    else:
-        cfg = Config()
-    for name in (
-        "seed", "users", "resources", "validators", "epochs",
-        "chain_path", "state_path", "log_path", "weights_path", "report_path",
-    ):
-        value = getattr(args, name, None)
+    """The config file's values, overridden by every flag given, validated
+    once, so a flag can repair a value the file got wrong."""
+    values = read_config_values(args.config) if getattr(args, "config", None) else {}
+    for f in fields(Config):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "learning_rate", None) is not None:
-        cfg.learning_rate = args.learning_rate
-    return cfg.validate()
+            values[f.name] = value
+    return Config(**values)
 
 
 def _build_world(cfg: Config):
-    return setup_world(
-        cfg.validators, cfg.users, cfg.resources, cfg.seed, cfg.world_config()
-    )
+    return setup_world(cfg.validators, cfg.users, cfg.resources, cfg.seed, cfg)
 
 
 def _persist(world, cfg: Config) -> None:
@@ -96,16 +88,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     dataset = generate_dataset(cfg.users, cfg.resources, cfg.seed)
-    model = train(
-        dataset,
-        TrainConfig(
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            seed=cfg.seed,
-            hidden=cfg.hidden,
-            threshold=cfg.threshold,
-        ),
-    )
+    model = train(dataset, cfg)
     save_weights(model, cfg.weights_path)
     train_acc = accuracy(model, dataset.train, cfg.threshold)
     test_acc = accuracy(model, dataset.test, cfg.threshold)
@@ -215,16 +198,19 @@ def cmd_verify_log(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     model = load_weights(args.weights) if args.weights else None
-    stats = [
-        bench_mod.measure(
-            engine=args.engine,
-            n_requests=args.n,
-            n_threads=args.threads,
-            policy_scale=args.scale,
-            seed=args.seed if args.seed is not None else 0,
-            model=model,
-        )
-    ]
+    try:
+        stats = [
+            bench_mod.measure(
+                engine=args.engine,
+                n_requests=args.n,
+                n_threads=args.threads,
+                policy_scale=args.scale,
+                seed=args.seed if args.seed is not None else 0,
+                model=model,
+            )
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     bench_mod.emit_report(stats, args.out)
     if args.decisions_out:
         bench_mod.decisions_csv(stats, args.decisions_out)
@@ -233,8 +219,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.stats, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(args.stats, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        lines = []
     if not lines or lines[0] != bench_mod.REPORT_COLUMNS:
         raise FormatError(f"{args.stats}: not a bench report")
     print(lines[0].replace(",", "  "))
@@ -353,9 +342,9 @@ def dispatch(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
+    except OSError as exc:  # a missing or unreadable input file is a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     except AuthchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

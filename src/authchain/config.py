@@ -1,4 +1,5 @@
-"""Flat key=value configuration with CLI-flag overrides."""
+"""The one configuration type, validated on construction and read by the
+CLI, `harness.setup_world` and `model.train`; flat key=value files."""
 
 from __future__ import annotations
 
@@ -6,20 +7,21 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .harness import WorldConfig
+from .ledger import DEFAULT_BATCH_SIZE, DEFAULT_FRESHNESS_WINDOW
+from .storage import DEFAULT_BAN_THRESHOLD, DEFAULT_BAN_WINDOW, DEFAULT_LINK_TTL
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     validators: int = 3
     users: int = 100
     resources: int = 50
     seed: int = 0
-    freshness_window: int = 120
-    ban_threshold: int = 3
-    ban_window: int = 600
-    batch_size: int = 100
-    link_ttl: int = 120
+    freshness_window: int = DEFAULT_FRESHNESS_WINDOW
+    ban_threshold: int = DEFAULT_BAN_THRESHOLD
+    ban_window: int = DEFAULT_BAN_WINDOW
+    batch_size: int = DEFAULT_BATCH_SIZE
+    link_ttl: int = DEFAULT_LINK_TTL
     learning_rate: float = 1.0
     epochs: int = 800
     hidden: tuple[int, ...] = (32, 16)
@@ -30,9 +32,11 @@ class Config:
     weights_path: str = "weights.bin"
     report_path: str = "scenario_reports.json"
 
-    def validate(self) -> "Config":
+    def __post_init__(self) -> None:
         if self.validators <= 2:
             raise ConfigError(f"validators must exceed 2, got {self.validators}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         positive = (
             "users", "resources", "freshness_window", "ban_threshold",
             "ban_window", "batch_size", "link_ttl", "epochs",
@@ -46,52 +50,24 @@ class Config:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if not self.hidden or any(h <= 0 for h in self.hidden):
             raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
-        return self
-
-    def world_config(self) -> WorldConfig:
-        return WorldConfig(
-            freshness_window=self.freshness_window,
-            ban_threshold=self.ban_threshold,
-            ban_window=self.ban_window,
-            batch_size=self.batch_size,
-            link_ttl=self.link_ttl,
-            threshold=self.threshold,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            hidden=self.hidden,
-        )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+_DEFAULTS = {f.name: f.default for f in fields(Config)}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key == "hidden":
-        try:
-            widths = tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"invalid value for hidden: {raw!r}") from None
-        return widths
-    default = getattr(Config(), key)
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        if key == "hidden":
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return type(_DEFAULTS[key])(raw)
     except ValueError:
         raise ConfigError(f"invalid value for {key}: {raw!r}") from None
 
 
-def load_config(path, validate: bool = True) -> Config:
-    """Parse a key=value file; absent keys keep their defaults.
-
-    The CLI defers validation until its flag overrides are applied, so a
-    flag can repair a value the file got wrong.
-    """
+def read_config_values(path) -> dict[str, object]:
+    """Parse a key=value file into the values it sets, unvalidated, so the
+    CLI can let a flag repair a value the file got wrong."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
@@ -104,8 +80,12 @@ def load_config(path, validate: bool = True) -> Config:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, raw = line.split("=", 1)
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             values[key] = _parse_value(key, raw)
-    cfg = Config(**values)
-    return cfg.validate() if validate else cfg
+    return values
+
+
+def load_config(path) -> Config:
+    """Parse a key=value file; absent keys keep their defaults."""
+    return Config(**read_config_values(path))

@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import crypto
+from .config import Config
 from .contracts import (
     Denial,
     DenialReason,
@@ -63,7 +64,6 @@ from .model import (
     DecisionModel,
     OPERATIONS,
     SyntheticDataset,
-    TrainConfig,
     _forward_all,
     encode_pair,
     generate_dataset,
@@ -90,30 +90,12 @@ SCENARIO_EXPECTATIONS = {
     4: "allowed",
 }
 
-
-@dataclass(frozen=True)
-class WorldConfig:
-    freshness_window: int = 120
-    ban_threshold: int = 3
-    ban_window: int = 600
-    batch_size: int = 100
-    link_ttl: int = 120
-    threshold: float = 0.5
-    learning_rate: float = 1.0
-    epochs: int = 800
-    hidden: tuple[int, ...] = (32, 16)
-    resource_content_size: int = 64
-
-    def __post_init__(self) -> None:
-        for name in ("freshness_window", "ban_threshold", "ban_window", "batch_size", "link_ttl"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+RESOURCE_CONTENT_SIZE = 64  # bytes of seeded content per resource
 
 
 @dataclass
 class World:
-    seed: int
-    config: WorldConfig
+    config: Config
     clock: LogicalClock
     rng: crypto.RandomSource
     chain: Chain
@@ -138,7 +120,7 @@ class World:
         if 0 <= index < len(self.users):
             return self.users[index]
         if index not in self._outsiders:
-            self._outsiders[index] = crypto.keygen(derive_seed(self.seed, f"outsider/{index}"))
+            self._outsiders[index] = crypto.keygen(derive_seed(self.config.seed, f"outsider/{index}"))
         return self._outsiders[index]
 
     def user_attrs(self, index: int) -> tuple[int, ...]:
@@ -201,26 +183,19 @@ def setup_world(
     n_users: int,
     n_resources: int,
     seed: int,
-    config: WorldConfig | None = None,
+    config: Config | None = None,
 ) -> World:
-    """Deterministic world: genesis, user registration, trained model."""
-    if n_validators <= 2:
-        raise ConfigError(f"validator count must exceed 2, got {n_validators}")
-    if n_users < 1 or n_resources < 1:
-        raise ConfigError("need at least one user and one resource")
-    config = config or WorldConfig()
+    """Deterministic world: genesis, user registration, trained model.
+
+    The world's config is ``config`` (or the defaults) with the shape and
+    seed given here, so ``world.config`` describes the world built."""
+    config = replace(
+        config or Config(),
+        validators=n_validators, users=n_users, resources=n_resources, seed=seed,
+    )
 
     dataset = generate_dataset(n_users, n_resources, seed)
-    model = train(
-        dataset,
-        TrainConfig(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            seed=seed,
-            hidden=config.hidden,
-            threshold=config.threshold,
-        ),
-    )
+    model = train(dataset, config)
 
     validators = [
         crypto.keygen(derive_seed(seed, f"validator/{i}")) for i in range(n_validators)
@@ -243,11 +218,10 @@ def setup_world(
     content_rng = crypto.seeded_rng(derive_seed(seed, "content"))
     for rid, attrs in dataset.resources:
         storage_node.put_resource(
-            Resource(id=rid, metadata=attrs, content=content_rng.read(config.resource_content_size))
+            Resource(id=rid, metadata=attrs, content=content_rng.read(RESOURCE_CONTENT_SIZE))
         )
 
     world = World(
-        seed=seed,
         config=config,
         clock=clock,
         rng=crypto.seeded_rng(derive_seed(seed, "sim")),

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError
+
+if TYPE_CHECKING:
+    from .config import Config
 
 OPERATIONS = ("read", "write", "execute", "own")
 N_OPERATIONS = 4
@@ -165,23 +169,6 @@ def _bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1.0
-    epochs: int = 800
-    seed: int = 0
-    hidden: tuple[int, ...] = (32, 16)
-    threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
-
-
 def _init_layers(dims: tuple[int, ...], seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(seed)
     layers = []
@@ -192,8 +179,9 @@ def _init_layers(dims: tuple[int, ...], seed: int) -> list[tuple[np.ndarray, np.
     return layers
 
 
-def train(dataset: "SyntheticDataset", config: TrainConfig) -> DecisionModel:
-    """Fit the network on the training split by full-batch gradient descent."""
+def train(dataset: "SyntheticDataset", config: "Config") -> DecisionModel:
+    """Fit the network on the training split by full-batch gradient descent,
+    with the config's learning rate, epochs, seed and hidden widths."""
     if not dataset.train:
         raise ValueError("training split is empty")
     inputs = np.array(

@@ -76,13 +76,6 @@ class TestRbacCheck:
                 policy, user, rid, op
             )
 
-    def test_csv_round_trip(self, tmp_path):
-        policy = B.generate_rbac_policy(scale=1, seed=9)
-        path = tmp_path / "rbac.csv"
-        B.rbac_to_csv(policy, path)
-        loaded = B.rbac_from_csv(path)
-        assert loaded == policy
-
 
 class TestAbacCheck:
     def test_empty_policy_denies(self):
@@ -117,13 +110,6 @@ class TestAbacCheck:
             assert B.abac_check(policy, user, resource_attrs, op) == brute_force_abac(
                 policy, user, resource_attrs, op
             )
-
-    def test_csv_round_trip(self, tmp_path):
-        policy = B.generate_abac_policy(scale=1, seed=9)
-        path = tmp_path / "abac.csv"
-        B.abac_to_csv(policy, path)
-        loaded = B.abac_from_csv(path)
-        assert loaded == policy
 
     def test_condition_counts_match_paper_faithful_configuration(self):
         policy = B.generate_abac_policy(scale=1, seed=1)

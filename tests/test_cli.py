@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from authchain.cli import dispatch
+from authchain.cli import _build_world, _config_from_args, build_parser, dispatch
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
+from authchain.harness import setup_world
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 WORLD_FLAGS = ["--seed", "5", "--users", "6", "--resources", "6"]
 
@@ -136,6 +142,51 @@ class TestConfigFile:
         path.write_text("validators=2\n")
         assert dispatch(["init", "--config", str(path), *world_files(tmp_path)]) == 2
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            Config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("freshness_window", 77),
+            ("ban_threshold", 5),
+            ("ban_window", 900),
+            ("batch_size", 7),
+            ("link_ttl", 33),
+            ("threshold", 0.25),
+        ],
+    )
+    def test_config_file_value_reaches_world(self, tmp_path, key, value):
+        path = tmp_path / "world.cfg"
+        path.write_text(f"{key} = {value}\nepochs = 20\n")
+        args = build_parser().parse_args(
+            ["init", "--config", str(path), "--seed", "2", "--users", "3",
+             "--resources", "3", *world_files(tmp_path)]
+        )
+        world = _build_world(_config_from_args(args))
+        assert getattr(world.config, key) == value
+        assert world.config.epochs == 20
+        if key == "link_ttl":
+            assert world.storage_node.link_ttl == value
+
+    def test_world_config_records_the_shape_built(self):
+        world = setup_world(3, 5, 4, seed=7, config=Config(seed=0, users=99, epochs=20))
+        assert world.config.seed == 7
+        assert world.config.users == 5
+        assert world.config.resources == 4
+        assert world.config.validators == 3
+        assert len(world.users) == 5
+
+    def test_readme_configuration_block_lists_every_key(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == Config()
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == [f.name for f in fields(Config)]
+
 
 class TestWorldCommands:
     def test_init_then_verify_chain(self, tmp_path, capsys):
@@ -226,6 +277,36 @@ class TestWorldCommands:
         assert "caught" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-chain", "--chain", "{tmp}/missing.jsonl"],
+            ["verify-log", "--log", "{tmp}/missing.jsonl", "--state", "{tmp}/state.json"],
+            ["verify-log", "--log", "{tmp}/log.jsonl", "--state", "{tmp}/missing.json"],
+            ["report", "--stats", "{tmp}/missing.csv"],
+            ["bench", "--engine", "rbac", "--weights", "{tmp}/missing.bin"],
+            ["bench", "--engine", "rbac", "--n", "10"],
+            ["bench", "--engine", "rbac", "--threads", "0"],
+            ["bench", "--engine", "rbac", "--scale", "0"],
+            ["gen-data", "--seed", "-1", "--out", "{tmp}/data.csv"],
+        ],
+        ids=[
+            "chain-missing", "log-missing", "state-missing", "stats-missing",
+            "weights-missing", "too-few-requests", "zero-threads", "zero-scale",
+            "negative-seed",
+        ],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, capfd, argv):
+        (tmp_path / "log.jsonl").write_bytes(b"")
+        (tmp_path / "state.json").write_text("{}")
+        code = dispatch([arg.format(tmp=tmp_path) for arg in argv])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert re.fullmatch(r"(config )?error: .+\n", err)
+
+
 class TestBenchCommands:
     def test_bench_writes_stats_and_decisions(self, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
@@ -251,3 +332,9 @@ class TestBenchCommands:
         path = tmp_path / "notstats.csv"
         path.write_text("a,b,c\n1,2,3\n")
         assert dispatch(["report", "--stats", str(path)]) == 1
+
+    def test_report_rejects_binary_file(self, tmp_path, capfd):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"engine,\xd0\xff\n")
+        assert dispatch(["report", "--stats", str(path)]) == 1
+        assert capfd.readouterr().err == f"error: {path}: not a bench report\n"

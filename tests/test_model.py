@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from authchain import model as M
-from authchain.errors import FormatError
+from authchain.config import Config
+from authchain.errors import ConfigError, FormatError
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +184,15 @@ class TestTrain:
             rules=ds.rules,
             seed=ds.seed,
         )
-        net = M.train(forced, M.TrainConfig(seed=1, epochs=300))
+        net = M.train(forced, Config(seed=1, epochs=300))
         for t in forced.train:
             for score in M.infer(net, M.encode_pair(t.user_attrs, t.resource_attrs)):
                 assert score > 0.9
 
     def test_deterministic_same_seed_bitwise(self):
         ds = M.generate_dataset(6, 6, seed=9)
-        a = M.train(ds, M.TrainConfig(seed=4, epochs=50))
-        b = M.train(ds, M.TrainConfig(seed=4, epochs=50))
+        a = M.train(ds, Config(seed=4, epochs=50))
+        b = M.train(ds, Config(seed=4, epochs=50))
         assert a == b
 
     def test_empty_training_split_rejected(self):
@@ -201,21 +202,21 @@ class TestTrain:
             rules=ds.rules, seed=ds.seed,
         )
         with pytest.raises(ValueError):
-            M.train(empty, M.TrainConfig(seed=0))
+            M.train(empty, Config(seed=0))
 
     def test_default_config_reaches_regression_bound(self):
         # frozen bound measured once on the reference configuration
         ds = M.generate_dataset(40, 20, seed=0)
-        net = M.train(ds, M.TrainConfig(seed=0))
+        net = M.train(ds, Config(seed=0))
         assert M.accuracy(net, ds.train) >= 0.95
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            M.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            M.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            M.TrainConfig(threshold=1.0)
+        with pytest.raises(ConfigError):
+            Config(learning_rate=0.0)
+        with pytest.raises(ConfigError):
+            Config(epochs=0)
+        with pytest.raises(ConfigError):
+            Config(threshold=1.0)
 
 
 class TestGradientCheck:
