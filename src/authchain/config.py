@@ -3,6 +3,7 @@ CLI, `harness.setup_world` and `model.train`; flat key=value files."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -44,8 +45,10 @@ class Config:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if not self.hidden or any(h <= 0 for h in self.hidden):

@@ -36,7 +36,7 @@ from .contracts import (
     authorize,
     register_ban,
 )
-from .errors import ConfigError, DecryptError, FormatError, ScheduleError
+from .errors import ConfigError, FormatError, ScheduleError
 from .ledger import (
     AccReqTx,
     Block,
@@ -59,6 +59,7 @@ from .ledger import (
     tx_canonical_bytes,
     validate_block,
     validate_chain,
+    write_canonical_lines,
 )
 from .model import (
     DecisionModel,
@@ -76,6 +77,7 @@ from .storage import (
     check_ban_threshold,
     export_log,
     parse_log_lines,
+    read_link_note,
     verify_log,
 )
 
@@ -91,6 +93,12 @@ SCENARIO_EXPECTATIONS = {
 }
 
 RESOURCE_CONTENT_SIZE = 64  # bytes of seeded content per resource
+
+# mempool rejection label -> logged reason; any other label is unauthenticated
+ADMISSION_DENIAL_REASONS = {
+    "stale": DenialReason.STALE,
+    "replayed-nonce": DenialReason.REPLAY,
+}
 
 
 @dataclass
@@ -278,33 +286,26 @@ def _mirror_root(world: World) -> None:
     world.chain.put_contract_state(STATE_ROOT_HISTORY_KEY, mirrored)
 
 
-def _after_denial(world: World, subject_hash: str) -> None:
-    """Roll the new record into the log root, mirror it, maybe ban."""
-    world.storage_node.roll_log()
+def _deny(
+    world: World, subject_hash: str, denial: Denial, offending_bytes: bytes | None = None
+) -> Denial:
+    """The one exit for a refusal, returning ``denial``: log it (given the
+    bytes; storage logs its own refusals), roll it into the log root,
+    mirror the root, and ban the subject once it reaches the ban rule."""
+    node, cfg = world.storage_node, world.config
+    if offending_bytes is not None:
+        node.record_malicious(
+            offending_bytes, denial.reason, denial.mask, subject_hash,
+            world.chain.height, world.now(),
+        )
+    node.roll_log()
     _mirror_root(world)
     if subject_hash != UNKNOWN_SUBJECT and check_ban_threshold(
-        world.storage_node.log,
-        subject_hash,
-        world.now(),
-        threshold=world.config.ban_threshold,
-        window=world.config.ban_window,
+        node.log, subject_hash, world.now(), threshold=cfg.ban_threshold, window=cfg.ban_window
     ):
         register_ban(world.rules, subject_hash)
         _mirror_rules(world)
-
-
-def _record_denial(
-    world: World, offending_bytes: bytes, denial: Denial, subject_hash: str
-) -> None:
-    world.storage_node.record_malicious(
-        offending_bytes,
-        denial.reason,
-        denial.mask,
-        subject_hash,
-        world.chain.height,
-        world.now(),
-    )
-    _after_denial(world, subject_hash)
+    return denial
 
 
 def run_request(
@@ -324,11 +325,11 @@ def _run_request_locked(
     user = world.user_keypair(user_index)
     subject = crypto.hash_bytes(user.public_key).hex()
 
-    def denied(reason: DenialReason) -> RequestOutcome:
+    def outcome(denial: Denial | None = None, content: bytes | None = None) -> RequestOutcome:
         return RequestOutcome(
-            verdict=f"denied:{reason.value}",
-            reason=reason,
-            content_hash=None,
+            verdict="allowed" if denial is None else f"denied:{denial.reason.value}",
+            reason=None if denial is None else denial.reason,
+            content_hash=None if content is None else crypto.hash_bytes(content),
             heights=tuple(heights),
             user_index=user_index,
             resource_id=resource_id,
@@ -339,12 +340,8 @@ def _run_request_locked(
     accreq = make_accreq(user, resource_id, operation, nonce, world.now())
     label = world.mempool.submit(world.chain, accreq, world.now(), cfg.freshness_window)
     if label is not None:
-        reason = {
-            "stale": DenialReason.STALE,
-            "replayed-nonce": DenialReason.REPLAY,
-        }.get(label, DenialReason.UNAUTHENTICATED)
-        _record_denial(world, tx_canonical_bytes(accreq), Denial(reason, label), subject)
-        return denied(reason)
+        reason = ADMISSION_DENIAL_REASONS.get(label, DenialReason.UNAUTHENTICATED)
+        return outcome(_deny(world, subject, Denial(reason, label), tx_canonical_bytes(accreq)))
 
     heights.append(_produce(world).height)
 
@@ -352,8 +349,7 @@ def _run_request_locked(
         accreq, world.chain.memory, world.now(), cfg.freshness_window
     )
     if isinstance(result, Denial):
-        _record_denial(world, tx_canonical_bytes(accreq), result, subject)
-        return denied(result.reason)
+        return outcome(_deny(world, subject, result, tx_canonical_bytes(accreq)))
 
     payload = result
     world.mempool.submit(world.chain, payload.to_tx(), world.now(), cfg.freshness_window)
@@ -369,8 +365,7 @@ def _run_request_locked(
     )
     if isinstance(decision, Denial):
         heights.append(_produce(world).height)  # the verified tx still lands on chain
-        _record_denial(world, tx_canonical_bytes(accreq), decision, subject)
-        return denied(decision.reason)
+        return outcome(_deny(world, subject, decision, tx_canonical_bytes(accreq)))
 
     issued = world.storage_node.issue_link(
         decision,
@@ -382,39 +377,22 @@ def _run_request_locked(
     )
     if isinstance(issued, Denial):
         heights.append(_produce(world).height)
-        _after_denial(world, subject)
-        return denied(issued.reason)
+        return outcome(_deny(world, subject, issued))
 
     world.mempool.submit(world.chain, issued, world.now(), cfg.freshness_window)
     heights.append(_produce(world).height)
 
-    try:
-        secret_note = json.loads(crypto.decrypt(user.secret_key, issued.ciphertext))
-        token = bytes.fromhex(secret_note["link"])
-        link_nonce = bytes.fromhex(secret_note["nonce"])
-    except (DecryptError, KeyError, ValueError) as exc:  # pragma: no cover
-        raise FormatError(f"undecodable link payload: {exc}") from exc
-
+    token, link_nonce = read_link_note(user.secret_key, issued)
     redeemed = world.storage_node.redeem_link(
         token, link_nonce, world.now(), block_height=world.chain.height
     )
     if isinstance(redeemed, Denial):
-        _after_denial(world, subject)
-        return denied(redeemed.reason)
+        return outcome(_deny(world, subject, redeemed))
 
     content, storage_tx = redeemed
     world.mempool.submit(world.chain, storage_tx, world.now(), cfg.freshness_window)
     heights.append(_produce(world).height)
-
-    return RequestOutcome(
-        verdict="allowed",
-        reason=None,
-        content_hash=crypto.hash_bytes(content),
-        heights=tuple(heights),
-        user_index=user_index,
-        resource_id=resource_id,
-        operation=operation,
-    )
+    return outcome(content=content)
 
 
 # ---------------------------------------------------------------------------
@@ -467,50 +445,52 @@ def find_case(
 
 
 def run_scenario(world: World, scenario_id: int) -> ScenarioReport:
-    """Build the scenario's precondition, run the request, report."""
+    """Build the scenario's precondition, run the request, report, all
+    under the world lock, as :func:`run_request` runs."""
     if scenario_id not in SCENARIO_EXPECTATIONS:
         raise ValueError(f"unknown scenario id {scenario_id}")
-    start_height = world.chain.height
+    with world._lock:
+        start_height = world.chain.height
 
-    if scenario_id == 1:
-        outsider = len(world.users)  # never registered
-        resource_id = world.dataset.resources[0][0]
-        outcome = run_request(world, outsider, resource_id, "read")
-    elif scenario_id == 2:
-        user_index, resource_id, op = find_case(world, want_grant=False)
-        outcome = run_request(world, user_index, resource_id, op)
-    elif scenario_id == 3:
-        user_index, resource_id, op = find_case(world, want_grant=True)
-        subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
-        ops = tuple(name == op for name in OPERATIONS)
-        world.rules.add(
-            PriorityRule(
-                ordinal=world.rules.next_ordinal(),
-                subject=subject,
-                resource=str(resource_id),
-                operations=ops,
-                effect=DENY,
+        if scenario_id == 1:
+            outsider = len(world.users)  # never registered
+            resource_id = world.dataset.resources[0][0]
+            outcome = run_request(world, outsider, resource_id, "read")
+        elif scenario_id == 2:
+            user_index, resource_id, op = find_case(world, want_grant=False)
+            outcome = run_request(world, user_index, resource_id, op)
+        elif scenario_id == 3:
+            user_index, resource_id, op = find_case(world, want_grant=True)
+            subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
+            ops = tuple(name == op for name in OPERATIONS)
+            world.rules.add(
+                PriorityRule(
+                    ordinal=world.rules.next_ordinal(),
+                    subject=subject,
+                    resource=str(resource_id),
+                    operations=ops,
+                    effect=DENY,
+                )
             )
-        )
-        _mirror_rules(world)
-        outcome = run_request(world, user_index, resource_id, op)
-    else:
-        user_index, resource_id, op = find_case(world, want_grant=True)
-        outcome = run_request(world, user_index, resource_id, op)
+            _mirror_rules(world)
+            outcome = run_request(world, user_index, resource_id, op)
+        else:
+            user_index, resource_id, op = find_case(world, want_grant=True)
+            outcome = run_request(world, user_index, resource_id, op)
 
-    transcript = tuple(
-        {"height": block.height, "tx": tx.to_dict()}
-        for block in world.chain.blocks[start_height:]
-        for tx in block.transactions
-    )
-    expected = SCENARIO_EXPECTATIONS[scenario_id]
-    return ScenarioReport(
-        scenario_id=scenario_id,
-        expected=expected,
-        observed=outcome.verdict,
-        passed=outcome.verdict == expected,
-        transcript=transcript,
-    )
+        transcript = tuple(
+            {"height": block.height, "tx": tx.to_dict()}
+            for block in world.chain.blocks[start_height:]
+            for tx in block.transactions
+        )
+        expected = SCENARIO_EXPECTATIONS[scenario_id]
+        return ScenarioReport(
+            scenario_id=scenario_id,
+            expected=expected,
+            observed=outcome.verdict,
+            passed=outcome.verdict == expected,
+            transcript=transcript,
+        )
 
 
 def run_all_scenarios(world: World) -> list[ScenarioReport]:
@@ -521,28 +501,13 @@ def run_all_scenarios(world: World) -> list[ScenarioReport]:
 # Adversarial mutations
 # ---------------------------------------------------------------------------
 
-TAMPER_MUTATIONS = (
-    "flip-chain-byte",
-    "reuse-link",
-    "replay-accreq",
-    "wrong-validator-block",
-    "mutate-malicious-record",
-)
-
-
 def tamper(world: World, mutation: str) -> TamperOutcome:
-    """Apply one adversarial mutation and report whether defenses caught it."""
-    if mutation == "flip-chain-byte":
-        return _tamper_chain_byte(world)
-    if mutation == "reuse-link":
-        return _tamper_reuse_link(world)
-    if mutation == "replay-accreq":
-        return _tamper_replay_accreq(world)
-    if mutation == "wrong-validator-block":
-        return _tamper_wrong_validator(world)
-    if mutation == "mutate-malicious-record":
-        return _tamper_malicious_record(world)
-    raise ValueError(f"unknown mutation {mutation!r}")
+    """Apply one adversarial mutation, under the world lock, and report
+    whether defenses caught it."""
+    if mutation not in _TAMPERS:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    with world._lock:
+        return TamperOutcome(mutation, *_TAMPERS[mutation](world))
 
 
 def _flip_byte(blob: bytes, rng: crypto.RandomSource) -> bytes:
@@ -553,20 +518,16 @@ def _flip_byte(blob: bytes, rng: crypto.RandomSource) -> bytes:
     return bytes(mutated)
 
 
-def _tamper_chain_byte(world: World) -> TamperOutcome:
+def _tamper_chain_byte(world: World) -> tuple[bool, str]:
     blob = b"\n".join(block_canonical_bytes(b) for b in world.chain.blocks)
     mutated = _flip_byte(blob, world.rng)
     try:
         blocks = parse_chain_lines(mutated)
     except FormatError as exc:
-        return TamperOutcome("flip-chain-byte", True, f"rejected at parse: {exc}")
-    candidate = Chain.from_blocks_unchecked(blocks)
-    valid = validate_chain(candidate)
-    return TamperOutcome(
-        "flip-chain-byte",
-        caught=not valid,
-        detail="validate_chain rejected mutated chain" if not valid else "mutation undetected",
-    )
+        return True, f"rejected at parse: {exc}"
+    if validate_chain(Chain.from_blocks_unchecked(blocks)):
+        return False, "mutation undetected"
+    return True, "validate_chain rejected mutated chain"
 
 
 def _granted_link_material(world: World) -> tuple[int, bytes, bytes]:
@@ -582,11 +543,10 @@ def _granted_link_material(world: World) -> tuple[int, bytes, bytes]:
         for tx in world.chain.blocks[outcome.heights[1]].transactions
         if isinstance(tx, LinkTx) and tx.recipient == user.public_key
     )
-    note = json.loads(crypto.decrypt(user.secret_key, link_tx.ciphertext))
-    return user_index, bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"])
+    return (user_index, *read_link_note(user.secret_key, link_tx))
 
 
-def _tamper_reuse_link(world: World) -> TamperOutcome:
+def _tamper_reuse_link(world: World) -> tuple[bool, str]:
     user_index, token, nonce = _granted_link_material(world)
     world.clock.tick(1)
     second = world.storage_node.redeem_link(
@@ -594,12 +554,12 @@ def _tamper_reuse_link(world: World) -> TamperOutcome:
     )
     if isinstance(second, Denial) and second.reason == DenialReason.REPLAY:
         subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
-        _after_denial(world, subject)
-        return TamperOutcome("reuse-link", True, "second redemption denied as replay")
-    return TamperOutcome("reuse-link", False, f"unexpected result {second!r}")
+        _deny(world, subject, second)
+        return True, "second redemption denied as replay"
+    return False, f"unexpected result {second!r}"
 
 
-def _tamper_replay_accreq(world: World) -> TamperOutcome:
+def _tamper_replay_accreq(world: World) -> tuple[bool, str]:
     user_index, resource_id, op = find_case(world, want_grant=True)
     outcome = run_request(world, user_index, resource_id, op)
     user_pk = world.users[user_index].public_key
@@ -613,19 +573,17 @@ def _tamper_replay_accreq(world: World) -> TamperOutcome:
         world.chain, captured, world.now(), world.config.freshness_window
     )
     if label is None:
-        return TamperOutcome("replay-accreq", False, "replayed request admitted")
-    return TamperOutcome(
-        "replay-accreq", True, f"replayed request rejected ({label}); first run {outcome.verdict}"
-    )
+        return False, "replayed request admitted"
+    return True, f"replayed request rejected ({label}); first run {outcome.verdict}"
 
 
-def _tamper_wrong_validator(world: World) -> TamperOutcome:
+def _tamper_wrong_validator(world: World) -> tuple[bool, str]:
     height = world.chain.height
     v = len(world.chain.validator_set)
     wrong = world.validators[(height + 1) % v]
     try:
         produce_block(world.chain, world.mempool, wrong, world.now())
-        return TamperOutcome("wrong-validator-block", False, "out-of-turn proposal allowed")
+        return False, "out-of-turn proposal allowed"
     except ScheduleError:
         pass
     # craft the block anyway, as a malicious validator would
@@ -640,15 +598,12 @@ def _tamper_wrong_validator(world: World) -> TamperOutcome:
         ),
         wrong,
     )
-    accepted = validate_block(world.chain, block)
-    return TamperOutcome(
-        "wrong-validator-block",
-        caught=not accepted,
-        detail="signed out-of-turn block rejected" if not accepted else "block accepted",
-    )
+    if validate_block(world.chain, block):
+        return False, "block accepted"
+    return True, "signed out-of-turn block rejected"
 
 
-def _tamper_malicious_record(world: World) -> TamperOutcome:
+def _tamper_malicious_record(world: World) -> tuple[bool, str]:
     if not world.storage_node.log.records:
         # cause one denial so there is something to tamper with
         run_request(world, 0, 10**6, "read")
@@ -658,17 +613,24 @@ def _tamper_malicious_record(world: World) -> TamperOutcome:
     try:
         loaded = parse_log_lines(mutated)
     except FormatError as exc:
-        return TamperOutcome("mutate-malicious-record", True, f"rejected at parse: {exc}")
+        return True, f"rejected at parse: {exc}"
     verdict = verify_log(
         loaded,
         world.storage_node.log.root,
         world.chain.contract_state.get(STATE_ROOT_HISTORY_KEY),
     )
-    return TamperOutcome(
-        "mutate-malicious-record",
-        caught=not verdict.ok,
-        detail=f"verify_log says {verdict.verdict}",
-    )
+    return not verdict.ok, f"verify_log says {verdict.verdict}"
+
+
+# mutation name -> function returning (caught, detail)
+_TAMPERS = {
+    "flip-chain-byte": _tamper_chain_byte,
+    "reuse-link": _tamper_reuse_link,
+    "replay-accreq": _tamper_replay_accreq,
+    "wrong-validator-block": _tamper_wrong_validator,
+    "mutate-malicious-record": _tamper_malicious_record,
+}
+TAMPER_MUTATIONS = tuple(_TAMPERS)
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +666,7 @@ def save_world_artifacts(
     if chain_path is not None:
         save_chain(world.chain, chain_path)
     if state_path is not None:
-        with open(state_path, "wb") as fh:
-            fh.write(canonical_bytes(world.chain.contract_state))
-            fh.write(b"\n")
+        write_canonical_lines(state_path, [world.chain.contract_state])
     if log_path is not None:
         export_log(world.storage_node.log.records, log_path)
 

@@ -701,7 +701,9 @@ def append_block(chain: Chain, block: Block) -> None:
 
 
 def validate_chain(chain: Chain) -> bool:
-    """Re-validate every block from genesis."""
+    """Re-validate every block from genesis; a chain without one is invalid."""
+    if not chain.blocks:
+        return False
     try:
         Chain.replay(chain.blocks)
     except (FormatError, ValueError):
@@ -754,36 +756,43 @@ def memory_get(chain: Chain, key: str) -> Any | None:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON lines, one canonical block per line
+# Persistence: JSON lines, one canonical value per line
 # ---------------------------------------------------------------------------
 
-def save_chain(chain: Chain, path) -> None:
+def write_canonical_lines(path, values) -> None:
+    """Write each JSON-able value as one canonical line."""
     with open(path, "wb") as fh:
-        for block in chain.blocks:
-            fh.write(block_canonical_bytes(block))
+        for value in values:
+            fh.write(canonical_bytes(value))
             fh.write(b"\n")
 
 
-def parse_chain_lines(data: bytes) -> list[Block]:
-    """Parse persisted blocks, insisting on canonical encoding.
-
-    Every line must be byte-identical to the canonical serialization of
-    the block it parses to; otherwise a flipped byte that happens to
-    decode to the same value (hex case, number forms) would go unnoticed.
-    """
-    blocks: list[Block] = []
+def parse_canonical_lines(data: bytes, from_dict, what: str) -> list:
+    """Parse JSON lines with ``from_dict``.  Each line must equal the
+    canonical bytes of what it parses to, so a flipped byte that decodes
+    to the same value (hex case, number forms) is still caught."""
+    out = []
     for line_no, raw in enumerate(data.split(b"\n"), start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            block = block_from_dict(json.loads(raw.decode("utf-8")))
+            value = from_dict(json.loads(raw.decode("utf-8")))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"chain line {line_no}: {exc}") from exc
-        if block_canonical_bytes(block) != raw:
-            raise FormatError(f"chain line {line_no}: non-canonical encoding")
-        blocks.append(block)
-    return blocks
+            raise FormatError(f"{what} line {line_no}: {exc}") from exc
+        if canonical_bytes(value.to_dict()) != raw:
+            raise FormatError(f"{what} line {line_no}: non-canonical encoding")
+        out.append(value)
+    return out
+
+
+def save_chain(chain: Chain, path) -> None:
+    write_canonical_lines(path, (block.to_dict() for block in chain.blocks))
+
+
+def parse_chain_lines(data: bytes) -> list[Block]:
+    """Parse persisted blocks, insisting on canonical encoding."""
+    return parse_canonical_lines(data, block_from_dict, "chain")
 
 
 def load_chain(path) -> Chain:

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from . import crypto
 from .contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
-from .errors import FormatError
+from .errors import DecryptError, FormatError
 from .ledger import (
     LinkTx,
     StorageTx,
@@ -39,6 +39,8 @@ from .ledger import (
     make_link,
     make_storage,
     merkle_root,
+    parse_canonical_lines,
+    write_canonical_lines,
 )
 from .model import check_metadata, operation_index
 
@@ -290,28 +292,13 @@ def check_ban_threshold(
 # ---------------------------------------------------------------------------
 
 def export_log(records: Iterable[MaliciousRecord], path) -> None:
-    with open(path, "wb") as fh:
-        for r in records:
-            fh.write(canonical_bytes(r.to_dict()))
-            fh.write(b"\n")
+    write_canonical_lines(path, (r.to_dict() for r in records))
 
 
 def parse_log_lines(data: bytes) -> list[MaliciousRecord]:
     """Parse exported records, insisting on canonical encoding so any byte
     flip in the export is detectable (either here or by the root check)."""
-    out = []
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = MaliciousRecord.from_dict(json.loads(raw.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"log line {line_no}: {exc}") from exc
-        if canonical_bytes(record.to_dict()) != raw:
-            raise FormatError(f"log line {line_no}: non-canonical encoding")
-        out.append(record)
-    return out
+    return parse_canonical_lines(data, MaliciousRecord.from_dict, "log")
 
 
 def load_log(path) -> list[MaliciousRecord]:
@@ -382,7 +369,8 @@ class StorageNode:
         rng: crypto.RandomSource,
         block_height: int = 0,
     ) -> LinkTx | Denial:
-        """Encrypt a fresh (token, nonce, time) triple under the user's key.
+        """Encrypt a fresh (token, nonce, time) note under the user's key;
+        :func:`read_link_note` reads it back.
 
         Refuses, and logs, a decision that does not actually grant the
         requested operation or names an unknown resource.
@@ -524,3 +512,14 @@ class StorageNode:
                         content=bytes.fromhex(d["content"]),
                     )
                 )
+
+
+def read_link_note(secret_key: bytes, link_tx: LinkTx) -> tuple[bytes, bytes]:
+    """The (token, nonce) that :meth:`StorageNode.issue_link` encrypted
+    for the link's recipient; :class:`FormatError` for a note this key
+    cannot decrypt or that does not parse."""
+    try:
+        note = json.loads(crypto.decrypt(secret_key, link_tx.ciphertext))
+        return bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"])
+    except (DecryptError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"unreadable link note: {exc}") from exc

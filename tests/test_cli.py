@@ -202,6 +202,13 @@ class TestWorldCommands:
         chain_file.write_bytes(bytes(blob))
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
 
+    @pytest.mark.parametrize("content", [b"", b"\n  \n"], ids=["empty", "blank"])
+    def test_verify_chain_without_blocks_invalid(self, tmp_path, capsys, content):
+        chain_file = tmp_path / "chain.jsonl"
+        chain_file.write_bytes(content)
+        assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
+        assert capsys.readouterr().out.startswith("chain INVALID")
+
     def test_scenario_all_passes_and_verifies(self, tmp_path, capsys):
         report = tmp_path / "reports.json"
         code = dispatch(
@@ -305,6 +312,15 @@ class TestInputErrors:
         assert code == 2
         assert "Traceback" not in err
         assert re.fullmatch(r"(config )?error: .+\n", err)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, capfd, lr):
+        code = dispatch(["train", "--lr", lr, "--out", str(tmp_path / "w.bin")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert re.fullmatch(r"config error: learning_rate .+\n", err)
+        assert not (tmp_path / "w.bin").exists()
 
 
 class TestBenchCommands:

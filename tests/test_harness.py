@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -23,6 +24,34 @@ def granting_cases(world, count: int):
         skip.add((user_index, resource_id))
         cases.append((user_index, resource_id, op))
     return cases
+
+
+def lock_free_elsewhere(world) -> bool:
+    """Whether another thread could take the world lock right now."""
+    got: list[bool] = []
+
+    def probe() -> None:
+        got.append(world._lock.acquire(blocking=False))
+        if got[-1]:
+            world._lock.release()
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return got[0]
+
+
+def probe_lock_during(monkeypatch, world, owner, name) -> list[bool]:
+    """Wrap ``owner.name`` so each call records :func:`lock_free_elsewhere`."""
+    seen: list[bool] = []
+    original = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        seen.append(lock_free_elsewhere(world))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return seen
 
 
 class TestSetupWorld:
@@ -184,6 +213,12 @@ class TestScenarios:
         report4 = H.run_scenario(world, 4)
         assert report4.passed
 
+    def test_rule_set_up_under_the_world_lock(self, monkeypatch):
+        world = build_small_world(seed=42)
+        seen = probe_lock_during(monkeypatch, world, H, "_mirror_rules")
+        assert H.run_scenario(world, 3).passed
+        assert seen and not any(seen)
+
 
 class TestTamper:
     @pytest.mark.parametrize("mutation", H.TAMPER_MUTATIONS)
@@ -195,6 +230,12 @@ class TestTamper:
     def test_unknown_mutation(self, fresh_world):
         with pytest.raises(ValueError):
             H.tamper(fresh_world, "paint-it-black")
+
+    def test_replay_denial_rolled_under_the_world_lock(self, monkeypatch):
+        world = build_small_world(seed=7)
+        seen = probe_lock_during(monkeypatch, world, world.storage_node, "roll_log")
+        assert H.tamper(world, "reuse-link").caught
+        assert seen and not any(seen)
 
 
 class TestBanPathway:

@@ -386,6 +386,9 @@ class TestChainState:
         chain, _ = build_chain_with_users(n_blocks=10)
         assert ledger.validate_chain(chain)
 
+    def test_chain_without_blocks_invalid(self):
+        assert not ledger.validate_chain(ledger.Chain())
+
     def test_reordered_blocks_invalid(self):
         chain, _ = build_chain_with_users(n_blocks=4)
         swapped = ledger.Chain.from_blocks_unchecked(

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from authchain import crypto, ledger, storage as S
 from authchain.contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
-from authchain.errors import DecryptError
+from authchain.errors import DecryptError, FormatError
 
 
 def kp(tag: str) -> crypto.KeyPair:
@@ -79,6 +79,33 @@ class TestIssueLink:
         stranger = kp("stranger")
         with pytest.raises(DecryptError):
             crypto.decrypt(stranger.secret_key, tx.ciphertext)
+
+    def test_read_link_note_returns_stored_token_and_nonce(self):
+        node = make_node()
+        _, _, tx = issue(node)
+        token, nonce = S.read_link_note(USER.secret_key, tx)
+        link = node.links[token]
+        assert link.nonce == nonce
+        assert link.user_pk == USER.public_key
+
+    def test_read_link_note_stranger_key_format_error(self):
+        _, _, tx = issue(make_node())
+        with pytest.raises(FormatError) as caught:
+            S.read_link_note(kp("stranger").secret_key, tx)
+        assert not isinstance(caught.value, DecryptError)
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [b"not json", b"[1, 2]", b'{"link": "00"}', b'{"link": "zz", "nonce": "00"}'],
+        ids=["not-json", "not-object", "no-nonce", "not-hex"],
+    )
+    def test_read_link_note_unparsable_note_format_error(self, plaintext):
+        _, _, tx = issue(make_node())
+        forged = dataclasses.replace(
+            tx, ciphertext=crypto.encrypt(USER.public_key, plaintext, rng("forged"))
+        )
+        with pytest.raises(FormatError):
+            S.read_link_note(USER.secret_key, forged)
 
     def test_two_issuances_distinct_nonces(self):
         node = make_node()
