@@ -16,6 +16,8 @@ from . import bench as bench_mod
 from .config import Config, read_config_values
 from .errors import AuthchainError, ConfigError, FormatError
 from .harness import (
+    STATE_ROOT_HISTORY_KEY,
+    STATE_ROOT_KEY,
     TAMPER_MUTATIONS,
     load_contract_state,
     run_all_scenarios,
@@ -25,7 +27,7 @@ from .harness import (
     setup_world,
     tamper,
 )
-from .ledger import ZERO_DIGEST, canonical_bytes, load_chain, validate_chain
+from .ledger import canonical_bytes, load_chain, validate_chain
 from .model import (
     accuracy,
     dataset_to_csv,
@@ -183,8 +185,8 @@ def cmd_verify_log(args: argparse.Namespace) -> int:
     try:
         records = load_log(args.log)
         state = load_contract_state(args.state)
-        root = bytes.fromhex(state.get("malicious_root", ZERO_DIGEST.hex()))
-        history = state.get("malicious_roots")
+        root = bytes.fromhex(state[STATE_ROOT_KEY])
+        history = state.get(STATE_ROOT_HISTORY_KEY)
     except (FormatError, ValueError) as exc:
         print(f"Compromised (unreadable: {exc})")
         return 1

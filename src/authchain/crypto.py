@@ -15,13 +15,21 @@ Every operation is pure or draws from an explicitly injected
 :class:`RandomSource`; there is no hidden global randomness.  Parsed key
 objects are kept in bounded per-process caches (``KEY_CACHE_SIZE`` entries
 each), so signing, verifying and decrypting with a known key skip the parse.
+
+:func:`verify_all` verifies a stream of signatures, on every CPU the
+process may run on when the stream is long; the worker processes live only
+for the call.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
+import itertools
 import os
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -46,6 +54,10 @@ PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
 KEY_CACHE_SIZE = 4096  # parsed keys held per cache
+# verify_all starts worker processes only for at least this many signatures;
+# below it, starting them costs more than they save
+PARALLEL_MIN_SIGNATURES = 2048
+PARALLEL_CHUNK_SIGNATURES = 512  # signatures per task sent to a worker
 
 _ZERO_AEAD_NONCE = b"\x00" * 12  # fresh key per message, so a fixed nonce is safe
 _ECIES_INFO = b"authchain/ecies/v1"
@@ -159,6 +171,70 @@ def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
     except (InvalidSignature, ValueError):
         return False
     return True
+
+
+def verify_all(checks: Iterable[tuple[bytes, bytes, bytes]]) -> bool:
+    """True iff every ``(public_key, message, signature)`` check verifies.
+
+    The checks are consumed lazily.  With fewer than
+    ``PARALLEL_MIN_SIGNATURES`` of them, a single CPU, or other threads
+    alive in this process (forking them is unsafe), they are verified
+    in-process.  Otherwise a pool with one worker per CPU verifies them, as
+    :func:`_verify_in_pool` describes.  An exception raised by the producer
+    stops the stream and propagates.  No worker outlives the call.
+    """
+    checks = iter(checks)
+    workers = len(os.sched_getaffinity(0))
+    if workers < 2 or threading.active_count() > 1:
+        return _verify_chunk(checks)
+    head = list(itertools.islice(checks, PARALLEL_MIN_SIGNATURES))
+    if len(head) < PARALLEL_MIN_SIGNATURES:
+        return _verify_chunk(head)
+    return _verify_in_pool(itertools.chain(head, checks), workers)
+
+
+def _verify_in_pool(checks: Iterator[tuple[bytes, bytes, bytes]], workers: int) -> bool:
+    """Verify chunks of ``checks`` in a forked pool while the producer makes
+    more, at most two chunks per worker in flight.  The first failed chunk
+    cancels the rest.  A pool that cannot start or breaks leaves every chunk
+    whose verdict was not read to be verified here, with the rest of the
+    stream, so the verdict never depends on the pool."""
+    # Loaded here rather than at import: a process that never opens a pool,
+    # such as one serving requests, does not carry these modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    unconfirmed: collections.deque[list] = collections.deque()
+    futures: collections.deque = collections.deque()
+
+    def oldest_verified() -> bool:
+        ok = futures.popleft().result()
+        unconfirmed.popleft()
+        return ok
+
+    try:
+        # fork: workers start without re-importing anything, and no fork
+        # server or resource tracker outlives the pool
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            while chunk := list(itertools.islice(checks, PARALLEL_CHUNK_SIGNATURES)):
+                unconfirmed.append(chunk)
+                futures.append(pool.submit(_verify_chunk, chunk))
+                if len(futures) == 2 * workers and not oldest_verified():
+                    return False
+            while futures:
+                if not oldest_verified():
+                    return False
+            return True
+        finally:
+            pool.shutdown(cancel_futures=True)
+    except (OSError, BrokenProcessPool):
+        return _verify_chunk(itertools.chain(itertools.chain.from_iterable(unconfirmed), checks))
+
+
+def _verify_chunk(checks: Iterable[tuple[bytes, bytes, bytes]]) -> bool:
+    return all(verify_sig(*check) for check in checks)
 
 
 def _session_key(shared: bytes, ephemeral_pk: bytes, recipient_pk: bytes) -> bytes:

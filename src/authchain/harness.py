@@ -673,8 +673,8 @@ def save_world_artifacts(
 
 def load_contract_state(path) -> dict:
     """Parse the contract-state sidecar; raises :class:`FormatError` unless
-    it is an object whose log root is a string and whose root history is a
-    list of ``{"root": str, "height": int}`` entries."""
+    it is an object whose log root is present and a string and whose root
+    history is a list of ``{"root": str, "height": int}`` entries."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -683,7 +683,9 @@ def load_contract_state(path) -> dict:
         raise FormatError(f"state file: {exc}") from exc
     if not isinstance(state, dict):
         raise FormatError("state file: not a JSON object")
-    if not isinstance(state.get(STATE_ROOT_KEY, ""), str):
+    if STATE_ROOT_KEY not in state:
+        raise FormatError(f"state file: no {STATE_ROOT_KEY}")
+    if not isinstance(state[STATE_ROOT_KEY], str):
         raise FormatError(f"state file: {STATE_ROOT_KEY} is not a string")
     history = state.get(STATE_ROOT_HISTORY_KEY, [])
     if not isinstance(history, list) or not all(

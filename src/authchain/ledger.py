@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, ClassVar, Union
+from typing import Any, Callable, ClassVar, Union
 
 from . import crypto
 from .errors import ConfigError, FormatError, ScheduleError
@@ -32,6 +32,9 @@ from .model import check_metadata
 DEFAULT_FRESHNESS_WINDOW = 120  # seconds
 DEFAULT_BATCH_SIZE = 100
 ZERO_DIGEST = b"\x00" * crypto.DIGEST_SIZE
+
+# (public_key, message, signature) -> verdict; crypto.verify_sig by default
+SignatureCheck = Callable[[bytes, bytes, bytes], bool]
 
 USER_KEY_PREFIX = "user/"
 RESOURCE_KEY_PREFIX = "resource/"
@@ -560,7 +563,9 @@ class Mempool:
         return taken
 
 
-def check_tx(genesis_payload: dict, tx: Transaction) -> str | None:
+def check_tx(
+    genesis_payload: dict, tx: Transaction, verify: SignatureCheck | None = None
+) -> str | None:
     """The signer rule: each kind must be signed by its known key.
 
     Setup transactions by the genesis admin (and with valid metadata),
@@ -568,23 +573,25 @@ def check_tx(genesis_payload: dict, tx: Transaction) -> str | None:
     the genesis storage key; verified hand-offs are unsigned by design.
     Returns ``not-admin``, ``bad-signature``, ``malformed`` or
     ``unknown-kind``, or None when the transaction passes.  Admission and
-    block validation both apply it.
+    block validation both apply it.  ``verify`` checks each signature;
+    the default is ``crypto.verify_sig``, looked up on every call.
     """
+    verify = verify or crypto.verify_sig
     if isinstance(tx, SetupTx):
         if tx.admin_pk.hex() != genesis_payload.get("admin_pk"):
             return "not-admin"
-        if not crypto.verify_sig(tx.admin_pk, signing_bytes(tx), tx.sig):
+        if not verify(tx.admin_pk, signing_bytes(tx), tx.sig):
             return "bad-signature"
         try:
             check_metadata(tx.metadata)
         except ValueError:
             return "malformed"
     elif isinstance(tx, AccReqTx):
-        if not crypto.verify_sig(tx.user_pk, signing_bytes(tx), tx.sig):
+        if not verify(tx.user_pk, signing_bytes(tx), tx.sig):
             return "bad-signature"
     elif isinstance(tx, (LinkTx, StorageTx)):
         storage_hex = genesis_payload.get("storage_pk")
-        if not storage_hex or not crypto.verify_sig(
+        if not storage_hex or not verify(
             bytes.fromhex(storage_hex), signing_bytes(tx), tx.sig
         ):
             return "bad-signature"
@@ -648,8 +655,12 @@ def validate_block(chain: Chain, block: Block) -> bool:
     return _block_digests(chain, block) is not None
 
 
-def _block_digests(chain: Chain, block: Block) -> list[bytes] | None:
-    """The block's transaction digests if it is valid, else None."""
+def _block_digests(
+    chain: Chain, block: Block, verify: SignatureCheck | None = None
+) -> list[bytes] | None:
+    """The block's transaction digests if it is valid, else None.
+    ``verify`` checks each signature, as in :func:`check_tx`."""
+    verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return None
     if block.height == 0:
@@ -680,18 +691,19 @@ def _block_digests(chain: Chain, block: Block) -> list[bytes] | None:
     digests = [tx_digest(t) for t in block.transactions]
     if block.tx_root != merkle_root(digests):
         return None
-    if not crypto.verify_sig(block.proposer, signing_bytes(block), block.sig):
+    if not verify(block.proposer, signing_bytes(block), block.sig):
         return None
     payload = block.payload if block.height == 0 else chain.genesis_payload
     for digest, tx in zip(digests, block.transactions):
-        if digest not in chain._admitted and check_tx(payload, tx) is not None:
+        if digest not in chain._admitted and check_tx(payload, tx, verify) is not None:
             return None
     return digests
 
 
-def append_block(chain: Chain, block: Block) -> None:
-    """Validate and append; an invalid block leaves the chain unchanged."""
-    digests = _block_digests(chain, block)
+def append_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> None:
+    """Validate and append; an invalid block leaves the chain unchanged.
+    ``verify`` checks each signature, as in :func:`check_tx`."""
+    digests = _block_digests(chain, block, verify)
     if digests is None:
         raise FormatError(f"invalid block at height {block.height}")
     chain.blocks.append(block)
@@ -701,14 +713,33 @@ def append_block(chain: Chain, block: Block) -> None:
 
 
 def validate_chain(chain: Chain) -> bool:
-    """Re-validate every block from genesis; a chain without one is invalid."""
+    """Re-validate every block from genesis; a chain without one is invalid.
+
+    The structural rules (height, linkage, schedule, merkle root, signer per
+    kind, metadata) run here, replaying the blocks onto a private chain.
+    The signature checks they meet are deferred and streamed, as they are
+    met, to :func:`crypto.verify_all`, which verifies each one once and may
+    use every CPU.  The verdict equals that of :meth:`Chain.replay`.
+    """
     if not chain.blocks:
         return False
+
+    def deferred_checks():
+        replica, checks = Chain(), []
+
+        def defer(public_key: bytes, message: bytes, signature: bytes) -> bool:
+            checks.append((public_key, message, signature))
+            return True
+
+        for block in chain.blocks:
+            append_block(replica, block, defer)
+            yield from checks
+            checks.clear()
+
     try:
-        Chain.replay(chain.blocks)
+        return crypto.verify_all(deferred_checks())
     except (FormatError, ValueError):
         return False
-    return True
 
 
 def query_history(
@@ -778,7 +809,7 @@ def parse_canonical_lines(data: bytes, from_dict, what: str) -> list:
             continue
         try:
             value = from_dict(json.loads(raw.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, FormatError) as exc:
             raise FormatError(f"{what} line {line_no}: {exc}") from exc
         if canonical_bytes(value.to_dict()) != raw:
             raise FormatError(f"{what} line {line_no}: non-canonical encoding")

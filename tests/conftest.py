@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from authchain.harness import World, setup_world
@@ -13,6 +15,14 @@ def build_small_world(seed: int = 42, **overrides) -> World:
     params["seed"] = seed
     params.update(overrides)
     return setup_world(**params)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail any test that returns with a child process still alive."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

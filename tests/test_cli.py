@@ -252,11 +252,13 @@ class TestWorldCommands:
         "state",
         [
             [1, 2],
+            {},
             {"malicious_root": 5},
-            {"malicious_roots": [{"height": 3}]},
-            {"malicious_roots": [{"root": "00"}]},
+            {"malicious_root": "0" * 64, "malicious_roots": [{"height": 3}]},
+            {"malicious_root": "0" * 64, "malicious_roots": [{"root": "00"}]},
         ],
-        ids=["list", "numeric-root", "history-without-root", "history-without-height"],
+        ids=["list", "no-root", "numeric-root", "history-without-root",
+             "history-without-height"],
     )
     def test_verify_log_malformed_state_unreadable(self, tmp_path, capsys, state):
         log_file = tmp_path / "log.jsonl"

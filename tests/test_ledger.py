@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -435,25 +442,201 @@ class TestTipHashCache:
         assert loaded.tip_hash() == chain.tip_hash()
 
 
+def byte_flipped_chains():
+    """(position, chain) for 40 seeded single-byte flips of a 4-block chain
+    file; a flip that no longer parses is left out, as already detected."""
+    chain, _ = build_chain_with_users(n_blocks=4)
+    blob = b"\n".join(ledger.block_canonical_bytes(b) for b in chain.blocks)
+    rng = random.Random(2024)
+    for _ in range(40):
+        mutated = bytearray(blob)
+        position = rng.randrange(len(mutated))
+        mutated[position] ^= rng.randrange(1, 256)
+        try:
+            blocks = [
+                ledger.block_from_dict(json.loads(line.decode()))
+                for line in bytes(mutated).split(b"\n")
+                if line.strip()
+            ]
+        except (FormatError, json.JSONDecodeError, UnicodeDecodeError):
+            continue
+        yield position, ledger.Chain.from_blocks_unchecked(blocks)
+
+
 class TestTamperEvidence:
     def test_any_single_byte_flip_detected(self):
-        chain, _ = build_chain_with_users(n_blocks=4)
-        blob = b"\n".join(ledger.block_canonical_bytes(b) for b in chain.blocks)
-        rng = random.Random(2024)
-        for _ in range(40):
-            mutated = bytearray(blob)
-            position = rng.randrange(len(mutated))
-            mutated[position] ^= rng.randrange(1, 256)
-            try:
-                blocks = [
-                    ledger.block_from_dict(json.loads(line.decode()))
-                    for line in bytes(mutated).split(b"\n")
-                    if line.strip()
-                ]
-            except (FormatError, json.JSONDecodeError, UnicodeDecodeError):
-                continue  # unparseable counts as detected
-            candidate = ledger.Chain.from_blocks_unchecked(blocks)
+        for position, candidate in byte_flipped_chains():
             assert not ledger.validate_chain(candidate), f"flip at {position} survived"
+
+
+def replay_verdict(blocks) -> bool:
+    """The in-process reference: replay with every signature checked inline."""
+    try:
+        ledger.Chain.replay(blocks)
+    except (FormatError, ValueError):
+        return False
+    return True
+
+
+def structurally_valid(blocks) -> bool:
+    """Whether the blocks pass every rule but the signature checks."""
+    chain = ledger.Chain()
+    try:
+        for block in blocks:
+            ledger.append_block(chain, block, lambda *check: True)
+    except FormatError:
+        return False
+    return True
+
+
+def flip(value: bytes) -> bytes:
+    return bytes([value[0] ^ 1]) + value[1:]
+
+
+def resigned_from(world, blocks, start):
+    """Re-link and re-sign ``blocks[start:]``, so only a change made before
+    ``start`` can be wrong."""
+    keys = {v.public_key: v for v in world.validators}
+    out = list(blocks[:start])
+    for block in blocks[start:]:
+        if out:
+            block = replace(block, prev_hash=ledger.block_hash(out[-1]))
+        out.append(ledger.signed(block, keys[block.proposer]))
+    return out
+
+
+def bad_first_signature(world, blocks):
+    return resigned_from(world, [replace(blocks[0], sig=flip(blocks[0].sig)), *blocks[1:]], 1)
+
+
+def bad_last_signature(world, blocks):
+    last = blocks[-1]
+    txs = list(last.transactions)
+    i = next(i for i, tx in enumerate(txs) if not isinstance(tx, ledger.VerifiedTx))
+    txs[i] = replace(txs[i], sig=flip(txs[i].sig))
+    last = replace(
+        last,
+        transactions=tuple(txs),
+        tx_root=ledger.merkle_root([ledger.tx_digest(tx) for tx in txs]),
+    )
+    return resigned_from(world, [*blocks[:-1], last], len(blocks) - 1)
+
+
+def broken_link(world, blocks):
+    mid = len(blocks) // 2
+    return [*blocks[:mid], replace(blocks[mid], prev_hash=flip(blocks[mid].prev_hash)),
+            *blocks[mid + 1:]]
+
+
+# name -> (make the blocks, expected verdict, only a signature is wrong)
+CHAIN_CASES = {
+    "intact": (lambda world, blocks: list(blocks), True, False),
+    "bad-first-signature": (bad_first_signature, False, True),
+    "bad-last-signature": (bad_last_signature, False, True),
+    "broken-link": (broken_link, False, False),
+}
+
+
+@pytest.fixture(scope="module")
+def served_world():
+    world = build_small_world(seed=7)
+    case = H.find_case(world, want_grant=True)
+    for _ in range(12):
+        H.run_request(world, *case)
+    return world
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """Make validate_chain verify a small chain in a pool of two workers,
+    four signatures per chunk; returns the pools it opens."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(crypto, "PARALLEL_MIN_SIGNATURES", 8)
+    monkeypatch.setattr(crypto, "PARALLEL_CHUNK_SIGNATURES", 4)
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+class BreakingPool:
+    """Stand-in pool that verifies the first chunk, then reports itself
+    broken, as when a worker dies."""
+
+    def __init__(self, *args, **kwargs):
+        self.submitted = 0
+
+    def submit(self, fn, chunk):
+        future = Future()
+        if self.submitted:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            future.set_result(fn(chunk))
+        self.submitted += 1
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+def pool_that_cannot_start(*args, **kwargs):
+    raise OSError("fork failed")
+
+
+class TestParallelValidation:
+    @pytest.mark.parametrize("name", CHAIN_CASES)
+    def test_pool_verdict_matches_replay(self, served_world, pooled, name):
+        make, expected, signature_only = CHAIN_CASES[name]
+        blocks = make(served_world, served_world.chain.blocks)
+        assert structurally_valid(blocks) == (expected or signature_only)
+        assert replay_verdict(blocks) is expected
+        assert ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks)) is expected
+        assert pooled, "the chain was verified without the pool"
+        # no worker outlives the call: after True, after a failed signature,
+        # and after a broken link ends the stream with chunks in flight
+        assert multiprocessing.active_children() == []
+
+    def test_byte_flips_pool_verdict_matches_replay(self, pooled, monkeypatch):
+        # the pool opens after the second block, before most flipped bytes
+        monkeypatch.setattr(crypto, "PARALLEL_MIN_SIGNATURES", 2)
+        for position, candidate in byte_flipped_chains():
+            assert ledger.validate_chain(candidate) == replay_verdict(candidate.blocks), position
+        assert pooled
+
+    @pytest.mark.parametrize("failing_pool", [pool_that_cannot_start, BreakingPool],
+                             ids=["cannot-start", "breaks"])
+    @pytest.mark.parametrize("name", CHAIN_CASES)
+    def test_failed_pool_verdict_matches_replay(self, served_world, pooled, monkeypatch,
+                                                failing_pool, name):
+        make, expected, _ = CHAIN_CASES[name]
+        blocks = make(served_world, served_world.chain.blocks)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", failing_pool)
+        verifies = []
+        inner = crypto.verify_sig
+        monkeypatch.setattr(crypto, "verify_sig", lambda *check: verifies.append(check) or inner(*check))
+        assert ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks)) is expected
+        if expected:  # every signature verified exactly once
+            signed_txs = sum(
+                not isinstance(tx, ledger.VerifiedTx) for b in blocks for tx in b.transactions
+            )
+            assert len(verifies) == len(set(verifies)) == len(blocks) + signed_txs
+
+    def test_other_threads_keep_verification_in_process(self, served_world, pooled):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert ledger.validate_chain(served_world.chain)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pooled == []
 
 
 class TestQueryHistory:
@@ -504,6 +687,17 @@ class TestPersistence:
         path = tmp_path / "chain.jsonl"
         path.write_bytes(b"not json\n")
         with pytest.raises(FormatError):
+            ledger.load_chain(path)
+
+    def test_malformed_block_names_its_line(self, tmp_path):
+        chain, _ = build_chain_with_users(n_blocks=3)
+        lines = [ledger.block_canonical_bytes(b) for b in chain.blocks]
+        second = chain.blocks[1].to_dict()
+        del second["height"]
+        lines[1] = ledger.canonical_bytes(second)
+        path = tmp_path / "chain.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="^chain line 2: malformed block: 'height'$"):
             ledger.load_chain(path)
 
     def test_loaded_chain_memory_usable(self, tmp_path):

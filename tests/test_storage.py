@@ -371,6 +371,13 @@ class TestVerifyLog:
         assert loaded == log.records
         assert S.verify_log(loaded, log.root, log.history).ok
 
+    def test_malformed_record_names_its_line(self):
+        records = [r.to_dict() for r in filled_log().records[:3]]
+        del records[2]["reason"]
+        data = b"\n".join(ledger.canonical_bytes(r) for r in records)
+        with pytest.raises(FormatError, match="^log line 3: malformed malicious record: 'reason'$"):
+            S.parse_log_lines(data)
+
 
 class TestBanThreshold:
     def make_log(self, times, reason=DenialReason.WRONG_RESOURCE, subject="s"):
