@@ -19,6 +19,7 @@ from .harness import (
     STATE_ROOT_HISTORY_KEY,
     STATE_ROOT_KEY,
     TAMPER_MUTATIONS,
+    check_resource_id,
     load_contract_state,
     run_all_scenarios,
     run_request,
@@ -116,6 +117,10 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_request(args: argparse.Namespace) -> int:
+    try:
+        check_resource_id(args.resource)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cfg = _config_from_args(args)
     world = _build_world(cfg)
     outcome = run_request(world, args.user, args.resource, args.op)

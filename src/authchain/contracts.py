@@ -346,10 +346,11 @@ def authorize(
     return Denial(reason, f"operation {payload.operation!r} not granted", mask=final)
 
 
-def register_ban(rules: RuleStore, subject_hash: str) -> None:
-    """Insert a front-of-order DENY-all rule for the subject; idempotent."""
+def register_ban(rules: RuleStore, subject_hash: str) -> bool:
+    """Insert a front-of-order DENY-all rule for the subject; idempotent.
+    True iff this call added the rule."""
     if subject_hash in rules.banned:
-        return
+        return False
     front = min((r.ordinal for r in rules.rules), default=0) - 1
     rules.add(
         PriorityRule(
@@ -361,3 +362,4 @@ def register_ban(rules: RuleStore, subject_hash: str) -> None:
         )
     )
     rules.banned.add(subject_hash)
+    return True

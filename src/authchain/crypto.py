@@ -15,6 +15,9 @@ Every operation is pure or draws from an explicitly injected
 :class:`RandomSource`; there is no hidden global randomness.  Parsed key
 objects are kept in bounded per-process caches (``KEY_CACHE_SIZE`` entries
 each), so signing, verifying and decrypting with a known key skip the parse.
+:func:`verify_sig` keeps the verdicts of the last ``VERIFY_CACHE_SIZE``
+distinct ``(public_key, message, signature)`` triples, so a signature
+checked twice on one request's path costs one Ed25519 verification.
 
 :func:`verify_all` verifies a stream of signatures, on every CPU the
 process may run on when the stream is long; the worker processes live only
@@ -54,6 +57,7 @@ PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
 KEY_CACHE_SIZE = 4096  # parsed keys held per cache
+VERIFY_CACHE_SIZE = 64  # signature verdicts held, keyed by the exact triple
 # verify_all starts worker processes only for at least this many signatures;
 # below it, starting them costs more than they save
 PARALLEL_MIN_SIGNATURES = 2048
@@ -166,6 +170,12 @@ def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
+    return _ed25519_verdict(public_key, message, signature)
+
+
+@functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)
+def _ed25519_verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    # a pure function of the exact bytes, so a cached verdict is the verdict
     try:
         _verify_key(public_key[:32]).verify(signature, message)
     except (InvalidSignature, ValueError):

@@ -40,6 +40,8 @@ from .errors import ConfigError, FormatError, ScheduleError
 from .ledger import (
     AccReqTx,
     Block,
+    CANONICAL_INT_MAX,
+    CANONICAL_INT_MIN,
     Chain,
     LinkTx,
     LogicalClock,
@@ -300,18 +302,34 @@ def _deny(
         )
     node.roll_log()
     _mirror_root(world)
-    if subject_hash != UNKNOWN_SUBJECT and check_ban_threshold(
-        node.log, subject_hash, world.now(), threshold=cfg.ban_threshold, window=cfg.ban_window
+    if (
+        subject_hash != UNKNOWN_SUBJECT
+        and check_ban_threshold(
+            node.log, subject_hash, world.now(), threshold=cfg.ban_threshold, window=cfg.ban_window
+        )
+        and register_ban(world.rules, subject_hash)
     ):
-        register_ban(world.rules, subject_hash)
         _mirror_rules(world)
     return denial
+
+
+def check_resource_id(resource_id: int) -> None:
+    """Raise ``ValueError`` unless a request may carry ``resource_id``."""
+    if not CANONICAL_INT_MIN <= resource_id <= CANONICAL_INT_MAX:
+        raise ValueError(
+            f"resource id {resource_id} is outside {CANONICAL_INT_MIN}..{CANONICAL_INT_MAX}"
+        )
 
 
 def run_request(
     world: World, user_index: int, resource_id: int, operation: str
 ) -> RequestOutcome:
-    """Execute the full data-retrieval pipeline for one request."""
+    """Execute the full data-retrieval pipeline for one request.
+
+    Raises ``ValueError``, before any state changes, for a resource id the
+    canonical encoding cannot carry (outside ``CANONICAL_INT_MIN`` ..
+    ``CANONICAL_INT_MAX``)."""
+    check_resource_id(resource_id)
     with world._lock:
         return _run_request_locked(world, user_index, resource_id, operation)
 

@@ -3,7 +3,11 @@
 Serialization is canonical everywhere: JSON with lexicographically sorted
 keys, no whitespace, UTF-8, byte values as lowercase hex.  Digests and
 signatures are computed over these bytes, so two processes that build the
-same world produce byte-identical chain files.
+same world produce byte-identical chain files.  The encoder is orjson, whose
+output equals ``json.dumps(v, sort_keys=True, separators=(",", ":"),
+ensure_ascii=False)`` for the values encoded here (str-keyed dicts, lists,
+tuples, strings, bools, ``None`` and integers in ``CANONICAL_INT_MIN`` ..
+``CANONICAL_INT_MAX``); it cannot encode an integer outside that range.
 
 Consensus is proof-of-authority realized as a round-robin proposer
 schedule: the validator at index ``height mod v`` signs the block at that
@@ -20,10 +24,11 @@ in the genesis payload.  Contract state that does not originate in blocks
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Union
+
+import orjson
 
 from . import crypto
 from .errors import ConfigError, FormatError, ScheduleError
@@ -39,12 +44,37 @@ SignatureCheck = Callable[[bytes, bytes, bytes], bool]
 USER_KEY_PREFIX = "user/"
 RESOURCE_KEY_PREFIX = "resource/"
 
+# the integers canonical_bytes can encode: a signed or an unsigned 64-bit value
+CANONICAL_INT_MIN = -(2**63)
+CANONICAL_INT_MAX = 2**64 - 1
+
 
 def canonical_bytes(value: Any) -> bytes:
-    """Canonical serialization of a JSON-able value."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    """Canonical serialization of a JSON-able value.
+
+    Raises ``ValueError`` naming the first integer outside
+    ``CANONICAL_INT_MIN`` .. ``CANONICAL_INT_MAX``.
+    """
+    try:
+        return orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+    except TypeError:
+        out_of_range = next(
+            (i for i in _ints(value) if not CANONICAL_INT_MIN <= i <= CANONICAL_INT_MAX), None
+        )
+        if out_of_range is None:
+            raise
+        raise ValueError(
+            f"integer {out_of_range} is outside the canonical range "
+            f"{CANONICAL_INT_MIN}..{CANONICAL_INT_MAX}"
+        ) from None
+
+
+def _ints(value: Any):
+    if isinstance(value, int):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _ints(item)
 
 
 def user_key(public_key: bytes) -> str:
@@ -808,10 +838,12 @@ def parse_canonical_lines(data: bytes, from_dict, what: str) -> list:
         if not raw:
             continue
         try:
-            value = from_dict(json.loads(raw.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError, FormatError) as exc:
+            # decoded here, not by orjson, so a bad byte is named by position
+            value = from_dict(orjson.loads(raw.decode("utf-8")))
+            canonical = canonical_bytes(value.to_dict())
+        except (FormatError, ValueError) as exc:  # orjson's and UTF-8's errors are ValueErrors
             raise FormatError(f"{what} line {line_no}: {exc}") from exc
-        if canonical_bytes(value.to_dict()) != raw:
+        if canonical != raw:
             raise FormatError(f"{what} line {line_no}: non-canonical encoding")
         out.append(value)
     return out

@@ -299,11 +299,12 @@ class TestInputErrors:
             ["bench", "--engine", "rbac", "--threads", "0"],
             ["bench", "--engine", "rbac", "--scale", "0"],
             ["gen-data", "--seed", "-1", "--out", "{tmp}/data.csv"],
+            ["request", "--user", "0", "--resource", "1180591620717411303424", "--op", "read"],
         ],
         ids=[
             "chain-missing", "log-missing", "state-missing", "stats-missing",
             "weights-missing", "too-few-requests", "zero-threads", "zero-scale",
-            "negative-seed",
+            "negative-seed", "resource-out-of-range",
         ],
     )
     def test_exit_2_without_traceback(self, tmp_path, capfd, argv):

@@ -266,6 +266,44 @@ class TestBanPathway:
         )
         assert counts[subject] == len(on_chain) == 2
 
+    def test_repeated_denials_of_a_banned_subject_do_not_mirror_rules(self, monkeypatch):
+        world = build_small_world(seed=13)
+        mirrors: list[int] = []
+        original = H._mirror_rules
+        monkeypatch.setattr(H, "_mirror_rules", lambda w: mirrors.append(1) or original(w))
+        for _ in range(3):
+            H.run_request(world, 2, 10**6, "read")
+        assert len(mirrors) == 1  # the ban
+        state = world.chain.contract_state[H.STATE_RULES_KEY]
+        for _ in range(4):
+            assert H.run_request(world, 2, 10**6, "read").verdict == "denied:wrong-resource"
+        assert len(mirrors) == 1
+        assert world.chain.contract_state[H.STATE_RULES_KEY] == state == world.rules.to_state()
+
+
+class TestOutOfRangeResourceIds:
+    @pytest.mark.parametrize("resource_id", [ledger.CANONICAL_INT_MIN, ledger.CANONICAL_INT_MAX])
+    def test_edges_are_denied_as_wrong_resource(self, resource_id):
+        world = build_small_world(seed=5)
+        assert H.run_request(world, 0, resource_id, "read").verdict == "denied:wrong-resource"
+
+    @pytest.mark.parametrize(
+        "resource_id", [ledger.CANONICAL_INT_MIN - 1, ledger.CANONICAL_INT_MAX + 1, 2**70]
+    )
+    def test_beyond_the_edges_raise_before_any_state_change(self, tmp_path, resource_id):
+        world = build_small_world(seed=5)
+
+        def artifacts(directory):
+            directory.mkdir()
+            paths = [directory / name for name in ("chain", "state", "log")]
+            H.save_world_artifacts(world, *paths)
+            return world.now(), len(world.mempool), [p.read_bytes() for p in paths]
+
+        before = artifacts(tmp_path / "before")
+        with pytest.raises(ValueError, match=f"^resource id {resource_id} is outside"):
+            H.run_request(world, 0, resource_id, "read")
+        assert artifacts(tmp_path / "after") == before
+
 
 class TestConcurrency:
     def test_concurrent_verdicts_match_sequential(self):
@@ -313,6 +351,22 @@ class TestCryptoCounts:
             counts.update(verify=0, sign=0)
             assert H.run_request(world, *case).verdict == verdict
             assert (counts["verify"], counts["sign"]) == expected, verdict
+
+    def test_ed25519_verifications_per_request(self):
+        # authenticate re-checks the signature admission checked; the
+        # verdict cache answers it, so only distinct signatures are verified
+        world = H.setup_world(3, 30, 12, seed=0)
+        cases = {
+            "allowed": (H.find_case(world, want_grant=True), 6),
+            "denied:model-denied": (H.find_case(world, want_grant=False), 3),
+            "denied:wrong-resource": ((0, 10**6, "read"), 3),
+            "denied:unauthenticated": ((len(world.users), 0, "read"), 2),
+        }
+        crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
+        for verdict, (case, expected) in cases.items():
+            misses = crypto._ed25519_verdict.cache_info().misses
+            assert H.run_request(world, *case).verdict == verdict
+            assert crypto._ed25519_verdict.cache_info().misses - misses == expected, verdict
 
     def test_replay_from_disk_verifies_every_signature(self, tmp_path, monkeypatch):
         world = H.setup_world(3, 30, 12, seed=0)

@@ -14,6 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger
 from authchain.errors import ConfigError, FormatError, ScheduleError
@@ -68,6 +69,38 @@ def build_chain_with_users(n_blocks: int = 3, now: int = 1_700_000_000):
     return chain, mempool
 
 
+def reference_canonical_bytes(value) -> bytes:
+    """The standard library's canonical form, the encoder's oracle."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+class Wrapped:
+    """A parsed line, in the shape ``parse_canonical_lines`` expects."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def to_dict(self):
+        return self.value
+
+
+EDGE_INTS = st.sampled_from([
+    ledger.CANONICAL_INT_MIN, ledger.CANONICAL_INT_MIN + 1, -1, 0, 1,
+    2**63 - 1, 2**63, ledger.CANONICAL_INT_MAX - 1, ledger.CANONICAL_INT_MAX,
+])
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.text(
+    st.sampled_from('\x00\x08\t\n\x0c\r\x1f\x7f"\\/\u2028\u00e9\U0001f600'), max_size=8
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | EDGE_INTS
+    | st.integers(ledger.CANONICAL_INT_MIN, ledger.CANONICAL_INT_MAX) | TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=16,
+)
+
+
 class TestCanonicalBytes:
     def test_sorted_keys_no_whitespace(self):
         out = ledger.canonical_bytes({"b": 1, "a": [2, {"z": 3, "y": 4}]})
@@ -76,6 +109,36 @@ class TestCanonicalBytes:
     def test_stability(self):
         value = {"k": "v", "n": 12, "nested": {"x": [1, 2, 3]}}
         assert ledger.canonical_bytes(value) == ledger.canonical_bytes(dict(value))
+
+    @settings(max_examples=400, derandomize=True)
+    @given(JSON_VALUES)
+    def test_matches_standard_library_and_round_trips(self, value):
+        line = ledger.canonical_bytes(value)
+        assert line == reference_canonical_bytes(value)
+        [parsed] = ledger.parse_canonical_lines(line, Wrapped, "value")
+        assert reference_canonical_bytes(parsed.value) == line
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [
+            (ledger.CANONICAL_INT_MAX + 1, ledger.CANONICAL_INT_MAX + 1),
+            (ledger.CANONICAL_INT_MIN - 1, ledger.CANONICAL_INT_MIN - 1),
+            ({"a": [1, {"b": (2, 10**30)}]}, 10**30),
+        ],
+        ids=["above", "below", "nested"],
+    )
+    def test_out_of_range_integer_raises_value_error(self, value, named):
+        with pytest.raises(ValueError, match=f"^integer {named} is outside"):
+            ledger.canonical_bytes(value)
+
+    def test_unencodable_value_still_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ledger.canonical_bytes({1: "int key"})
+
+    def test_out_of_range_integer_in_a_line_names_its_line(self):
+        line = str(ledger.CANONICAL_INT_MAX + 1).encode()
+        with pytest.raises(FormatError, match="^value line 2: integer .* is outside"):
+            ledger.parse_canonical_lines(b"1\n" + line, lambda v: Wrapped(int(v)), "value")
 
 
 class TestMerkleRoot:
