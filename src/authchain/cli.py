@@ -30,6 +30,7 @@ from .harness import (
 )
 from .ledger import canonical_bytes, load_chain, validate_chain
 from .model import (
+    OPERATIONS,
     accuracy,
     dataset_to_csv,
     generate_dataset,
@@ -166,6 +167,7 @@ def cmd_tamper(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     world = _build_world(cfg)
     outcome = tamper(world, args.mutation)
+    _persist(world, cfg)
     print(
         f"{outcome.mutation}: {'caught' if outcome.caught else 'NOT CAUGHT'} "
         f"({outcome.detail})"
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     world_flags(p)
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--resource", type=int, required=True)
-    p.add_argument("--op", required=True, choices=("read", "write", "execute", "own"))
+    p.add_argument("--op", required=True, choices=OPERATIONS)
     p.set_defaults(func=cmd_request)
 
     p = sub.add_parser("scenario", help="run the acceptance scenarios")

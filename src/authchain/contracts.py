@@ -32,6 +32,7 @@ from .ledger import (
     VerifiedTx,
     resource_key,
     signing_bytes,
+    subject_id,
     user_key,
 )
 from .model import (
@@ -333,7 +334,7 @@ def authorize(
     resource_bits = encode_attrs(resource["metadata"])
     scores = infer(model, payload.user_bits + resource_bits)
     mask = threshold_decide(scores, threshold)
-    subject_hash = crypto.hash_bytes(payload.user_pk).hex()
+    subject_hash = subject_id(payload.user_pk)
     rule = rules.first_match(subject_hash, payload.resource_id)
     final = _apply_rule(mask, rule)
     op = operation_index(payload.operation)
@@ -346,11 +347,10 @@ def authorize(
     return Denial(reason, f"operation {payload.operation!r} not granted", mask=final)
 
 
-def register_ban(rules: RuleStore, subject_hash: str) -> bool:
-    """Insert a front-of-order DENY-all rule for the subject; idempotent.
-    True iff this call added the rule."""
+def register_ban(rules: RuleStore, subject_hash: str) -> None:
+    """Insert a front-of-order DENY-all rule for the subject; idempotent."""
     if subject_hash in rules.banned:
-        return False
+        return
     front = min((r.ordinal for r in rules.rules), default=0) - 1
     rules.add(
         PriorityRule(
@@ -362,4 +362,3 @@ def register_ban(rules: RuleStore, subject_hash: str) -> bool:
         )
     )
     rules.banned.add(subject_hash)
-    return True

@@ -22,8 +22,6 @@ import json
 import threading
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import crypto
 from .config import Config
 from .contracts import (
@@ -58,6 +56,7 @@ from .ledger import (
     produce_block,
     save_chain,
     signed,
+    subject_id,
     tx_canonical_bytes,
     validate_block,
     validate_chain,
@@ -67,9 +66,10 @@ from .model import (
     DecisionModel,
     OPERATIONS,
     SyntheticDataset,
-    _forward_all,
     encode_pair,
     generate_dataset,
+    infer,
+    threshold_decide,
     train,
 )
 from .storage import (
@@ -118,7 +118,6 @@ class World:
     dataset: SyntheticDataset
     users: list[crypto.KeyPair]
     _outsiders: dict[int, crypto.KeyPair] = field(default_factory=dict)
-    _mask_cache: dict | None = field(default=None, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock)
 
     def now(self) -> int:
@@ -133,9 +132,6 @@ class World:
             self._outsiders[index] = crypto.keygen(derive_seed(self.config.seed, f"outsider/{index}"))
         return self._outsiders[index]
 
-    def user_attrs(self, index: int) -> tuple[int, ...]:
-        return self.dataset.users[index][1]
-
     def scheduled_proposer(self) -> crypto.KeyPair:
         want = self.chain.validator_set.scheduled(self.chain.height)
         for kp in self.validators:
@@ -147,7 +143,6 @@ class World:
 @dataclass(frozen=True)
 class RequestOutcome:
     verdict: str  # "allowed" or "denied:<reason>"
-    reason: DenialReason | None
     content_hash: bytes | None
     heights: tuple[int, ...]
     user_index: int
@@ -304,11 +299,12 @@ def _deny(
     _mirror_root(world)
     if (
         subject_hash != UNKNOWN_SUBJECT
+        and subject_hash not in world.rules.banned
         and check_ban_threshold(
             node.log, subject_hash, world.now(), threshold=cfg.ban_threshold, window=cfg.ban_window
         )
-        and register_ban(world.rules, subject_hash)
     ):
+        register_ban(world.rules, subject_hash)
         _mirror_rules(world)
     return denial
 
@@ -341,12 +337,11 @@ def _run_request_locked(
     heights: list[int] = []
     world.clock.tick(1)
     user = world.user_keypair(user_index)
-    subject = crypto.hash_bytes(user.public_key).hex()
+    subject = subject_id(user.public_key)
 
     def outcome(denial: Denial | None = None, content: bytes | None = None) -> RequestOutcome:
         return RequestOutcome(
             verdict="allowed" if denial is None else f"denied:{denial.reason.value}",
-            reason=None if denial is None else denial.reason,
             content_hash=None if content is None else crypto.hash_bytes(content),
             heights=tuple(heights),
             user_index=user_index,
@@ -417,46 +412,24 @@ def _run_request_locked(
 # Scenario suite
 # ---------------------------------------------------------------------------
 
-def _model_mask(world: World, user_index: int, resource_id: int) -> tuple[bool, ...]:
-    # one batched forward pass over every (user, resource) pair, then cached
-    if world._mask_cache is None:
-        pairs = [
-            (ui, rid)
-            for ui in range(len(world.users))
-            for rid, _ in world.dataset.resources
-        ]
-        resource_attrs = dict(world.dataset.resources)
-        inputs = np.array(
-            [
-                encode_pair(world.dataset.users[ui][1], resource_attrs[rid])
-                for ui, rid in pairs
-            ],
-            dtype=np.float64,
-        )
-        scores = _forward_all(world.model.layers, inputs)[-1]
-        masks = scores >= world.config.threshold
-        world._mask_cache = {
-            pair: tuple(bool(v) for v in masks[i]) for i, pair in enumerate(pairs)
-        }
-    return world._mask_cache[(user_index, resource_id)]
-
-
 def find_case(
     world: World, want_grant: bool, skip: set[tuple[int, int]] = frozenset()
 ) -> tuple[int, int, str]:
     """First (user index, resource id, operation) whose model verdict matches
-    ``want_grant`` and that no current priority rule touches."""
-    for user_index in range(len(world.users)):
-        subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
-        for resource_id, _ in world.dataset.resources:
+    ``want_grant`` and that no current priority rule touches.  The verdict
+    is the one :func:`authorize` reaches, from the same ``infer`` and
+    ``threshold_decide``."""
+    for user_index, (_, attrs) in enumerate(world.dataset.users):
+        subject = subject_id(world.users[user_index].public_key)
+        for resource_id, resource_attrs in world.dataset.resources:
             if (user_index, resource_id) in skip:
                 continue
             if world.rules.first_match(subject, resource_id) is not None:
                 continue
-            mask = _model_mask(world, user_index, resource_id)
-            for op_index, op in enumerate(OPERATIONS):
-                if mask[op_index] == want_grant:
-                    return user_index, resource_id, op
+            scores = infer(world.model, encode_pair(attrs, resource_attrs))
+            mask = threshold_decide(scores, world.config.threshold)
+            if want_grant in mask:
+                return user_index, resource_id, OPERATIONS[mask.index(want_grant)]
     raise LookupError(
         f"no {'granting' if want_grant else 'denying'} case in this world"
     )
@@ -479,7 +452,7 @@ def run_scenario(world: World, scenario_id: int) -> ScenarioReport:
             outcome = run_request(world, user_index, resource_id, op)
         elif scenario_id == 3:
             user_index, resource_id, op = find_case(world, want_grant=True)
-            subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
+            subject = subject_id(world.users[user_index].public_key)
             ops = tuple(name == op for name in OPERATIONS)
             world.rules.add(
                 PriorityRule(
@@ -571,8 +544,7 @@ def _tamper_reuse_link(world: World) -> tuple[bool, str]:
         token, nonce, world.now(), block_height=world.chain.height
     )
     if isinstance(second, Denial) and second.reason == DenialReason.REPLAY:
-        subject = crypto.hash_bytes(world.users[user_index].public_key).hex()
-        _deny(world, subject, second)
+        _deny(world, subject_id(world.users[user_index].public_key), second)
         return True, "second redemption denied as replay"
     return False, f"unexpected result {second!r}"
 

@@ -77,9 +77,15 @@ def _ints(value: Any):
             yield from _ints(item)
 
 
+def subject_id(public_key: bytes) -> str:
+    """A user's subject id, as rules, bans and log records name it: the
+    hash of the public key, hex."""
+    return crypto.hash_bytes(public_key).hex()
+
+
 def user_key(public_key: bytes) -> str:
-    """Memory key of a registered user: hash of the public key, hex."""
-    return USER_KEY_PREFIX + crypto.hash_bytes(public_key).hex()
+    """Memory key of a registered user: prefix plus its subject id."""
+    return USER_KEY_PREFIX + subject_id(public_key)
 
 
 def resource_key(resource_id: int) -> str:

@@ -3,9 +3,9 @@
 A granted decision turns into a single-use access link: a fresh 32-byte
 token plus a fresh 16-byte nonce, encrypted under the requesting user's
 public key and signed by storage.  Redemption is check-and-mark atomic;
-a spent nonce, an unknown token, or an expired link is denied and logged.
-Spent nonces persist with the storage state so replay protection survives
-a restart.
+a redeemed link, a nonce that is not the link's, an unknown token, or an
+expired link is denied and logged.  Each link keeps its redeemed flag in
+the storage state, so replay protection survives a restart.
 
 Every denial anywhere in the pipeline becomes one record in the
 malicious-activity log.  Records roll into a tamper-evident chain of
@@ -40,6 +40,7 @@ from .ledger import (
     make_storage,
     merkle_root,
     parse_canonical_lines,
+    subject_id,
     write_canonical_lines,
 )
 from .model import check_metadata, operation_index
@@ -160,7 +161,6 @@ class MaliciousLog:
         self.records: list[MaliciousRecord] = []
         self.root: bytes = ZERO_DIGEST
         self.history: list[dict] = []  # running root after each rolled group
-        self._next_group = 0
         self._rolled = 0  # records[:_rolled] are in a group, the rest pending
         # subject -> sorted wall times of its BAN_COUNTED_REASONS records
         self._ban_times: dict[str, list[int]] = {}
@@ -200,18 +200,18 @@ class MaliciousLog:
         pending = self.pending()
         if not pending:
             return self.root
-        rolled = [replace(r, group_index=self._next_group) for r in pending]
+        group = len(self.history)
+        rolled = [replace(r, group_index=group) for r in pending]
         self.records[self._rolled:] = rolled
         self._rolled = len(self.records)
         self.root = roll_root(self.root, rolled, group_output_bytes(rolled))
         self.history.append(
             {
-                "group": self._next_group,
+                "group": group,
                 "height": max(r.block_height for r in rolled),
                 "root": self.root.hex(),
             }
         )
-        self._next_group += 1
         return self.root
 
 
@@ -323,7 +323,6 @@ class StorageNode:
         self.link_ttl = link_ttl
         self.resources: dict[int, Resource] = {}
         self.links: dict[bytes, AccessLink] = {}
-        self.spent_nonces: set[bytes] = set()
         self.log = MaliciousLog()
         self._lock = threading.RLock()
 
@@ -377,7 +376,7 @@ class StorageNode:
         """
         with self._lock:
             op = operation_index(decision.requested)
-            subject = crypto.hash_bytes(user_pk).hex()
+            subject = subject_id(user_pk)
             if resource_id not in self.resources:
                 denial = Denial(DenialReason.WRONG_RESOURCE, f"no resource {resource_id}")
             elif not decision.grants[op]:
@@ -432,9 +431,9 @@ class StorageNode:
     ) -> tuple[bytes, StorageTx] | Denial:
         """Exchange an unspent, unexpired link for the resource content.
 
-        Success marks the link redeemed and the nonce spent, and returns the
-        signed storage transaction that logs the access on chain.  Every
-        failure is recorded in the malicious-activity log.
+        Success marks the link redeemed and returns the signed storage
+        transaction that logs the access on chain.  Every failure is
+        recorded in the malicious-activity log.
         """
         with self._lock:
             attempt_bytes = canonical_bytes(
@@ -444,15 +443,15 @@ class StorageNode:
             if link is None:
                 denial = Denial(DenialReason.WRONG_RESOURCE, "unknown access token")
                 subject = UNKNOWN_SUBJECT
-            elif link.redeemed or nonce in self.spent_nonces:
-                denial = Denial(DenialReason.REPLAY, "link or nonce already used")
-                subject = crypto.hash_bytes(link.user_pk).hex()
+            elif link.redeemed:
+                denial = Denial(DenialReason.REPLAY, "link already used")
+                subject = subject_id(link.user_pk)
             elif nonce != link.nonce:
                 denial = Denial(DenialReason.REPLAY, "nonce does not match link")
-                subject = crypto.hash_bytes(link.user_pk).hex()
+                subject = subject_id(link.user_pk)
             elif now > link.expiry:
                 denial = Denial(DenialReason.STALE, "link expired")
-                subject = crypto.hash_bytes(link.user_pk).hex()
+                subject = subject_id(link.user_pk)
             else:
                 denial = None
             if denial is not None:
@@ -461,7 +460,6 @@ class StorageNode:
                 )
                 return denial
             link.redeemed = True
-            self.spent_nonces.add(nonce)
             content = self.resources[link.resource_id].content
             return content, make_storage(self.keypair, nonce, link.user_pk, now)
 
@@ -469,7 +467,6 @@ class StorageNode:
 
     def to_state(self) -> dict:
         return {
-            "spent_nonces": sorted(n.hex() for n in self.spent_nonces),
             "links": [
                 {
                     "token": link.token.hex(),
@@ -490,7 +487,6 @@ class StorageNode:
 
     def restore_state(self, state: dict) -> None:
         with self._lock:
-            self.spent_nonces = {bytes.fromhex(n) for n in state.get("spent_nonces", [])}
             self.links = {}
             for d in state.get("links", []):
                 link = AccessLink(

@@ -12,7 +12,7 @@ import pytest
 from authchain.cli import _build_world, _config_from_args, build_parser, dispatch
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
-from authchain.harness import setup_world
+from authchain.harness import TAMPER_MUTATIONS, setup_world
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -284,6 +284,21 @@ class TestWorldCommands:
         )
         assert code == 0
         assert "caught" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutation", TAMPER_MUTATIONS)
+    def test_tamper_writes_a_world_that_verifies(self, tmp_path, capsys, mutation):
+        assert dispatch(["tamper", "--mutation", mutation, *WORLD_FLAGS, *world_files(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{mutation}: caught")
+        assert dispatch(["verify-chain", "--chain", str(tmp_path / "chain.jsonl")]) == 0
+        assert capsys.readouterr().out.startswith("chain OK")
+        log, state = str(tmp_path / "log.jsonl"), str(tmp_path / "state.json")
+        assert dispatch(["verify-log", "--log", log, "--state", state]) == 0
+        assert capsys.readouterr().out.startswith("Verified")
+
+    def test_tamper_reuse_link_logs_the_replay(self, tmp_path, capsys):
+        dispatch(["tamper", "--mutation", "reuse-link", *WORLD_FLAGS, *world_files(tmp_path)])
+        lines = (tmp_path / "log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["reason"] for line in lines] == ["replay"]
 
 
 class TestInputErrors:

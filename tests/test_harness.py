@@ -8,8 +8,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger, storage as S
+from authchain.contracts import DENY, PriorityRule
 from authchain.errors import ConfigError
 from authchain.model import OPERATIONS
 from conftest import build_small_world
@@ -97,7 +99,8 @@ class TestRunRequest:
             world.chain, user_pk=world.users[user_index].public_key, kind="storage"
         )
         assert len(ledger.query_history(world.chain, kind="storage")) == before + 1
-        assert world.storage_node.spent_nonces == {tx.nonce for _, tx in storage_txs}
+        redeemed = {link.nonce for link in world.storage_node.links.values() if link.redeemed}
+        assert redeemed == {tx.nonce for _, tx in storage_txs}
 
     def test_full_workflow_transaction_counts(self):
         world = build_small_world(seed=3)
@@ -182,6 +185,41 @@ class TestRunRequest:
         )
         _, tx = accreqs[-1]
         assert record.tx_bytes == ledger.tx_canonical_bytes(tx)
+
+
+class TestFindCase:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 1000),
+        n_users=st.integers(3, 6),
+        n_resources=st.integers(3, 6),
+        deny=st.none() | st.tuples(
+            # on one of the first pairs, where find_case looks first
+            st.integers(0, 1), st.integers(0, 2), st.tuples(*[st.booleans()] * len(OPERATIONS))
+        ),
+    )
+    def test_found_case_gets_the_contracts_verdict(self, seed, n_users, n_resources, deny):
+        world = H.setup_world(3, n_users, n_resources, seed)
+        if deny is not None:
+            user, resource, ops = deny
+            world.rules.add(
+                PriorityRule(
+                    ordinal=world.rules.next_ordinal(),
+                    subject=ledger.subject_id(world.users[user % n_users].public_key),
+                    resource=str(world.dataset.resources[resource % n_resources][0]),
+                    operations=ops,
+                    effect=DENY,
+                )
+            )
+        cases = {}
+        for want_grant in (True, False):
+            try:
+                cases[want_grant] = H.find_case(world, want_grant)
+            except LookupError:
+                pass
+        assume(len(cases) == 2)  # a tiny world can grant (or deny) every pair
+        assert H.run_request(world, *cases[True]).verdict == "allowed"
+        assert H.run_request(world, *cases[False]).verdict == "denied:model-denied"
 
 
 class TestScenarios:
@@ -279,6 +317,28 @@ class TestBanPathway:
             assert H.run_request(world, 2, 10**6, "read").verdict == "denied:wrong-resource"
         assert len(mirrors) == 1
         assert world.chain.contract_state[H.STATE_RULES_KEY] == state == world.rules.to_state()
+
+    def test_repeated_denials_of_a_banned_subject_skip_the_ban_check(self, monkeypatch):
+        world = build_small_world(seed=13)
+        subject = ledger.subject_id(world.users[2].public_key)
+        checked: list[str] = []
+        original = H.check_ban_threshold
+
+        def counting(log, subject_hash, *args, **kwargs):
+            checked.append(subject_hash)
+            return original(log, subject_hash, *args, **kwargs)
+
+        monkeypatch.setattr(H, "check_ban_threshold", counting)
+        for _ in range(3):
+            H.run_request(world, 2, 10**6, "read")
+        assert subject in world.rules.banned
+        assert checked == [subject] * 3
+        rules_bytes = ledger.canonical_bytes(world.chain.contract_state[H.STATE_RULES_KEY])
+        for _ in range(4):
+            assert H.run_request(world, 2, 10**6, "read").verdict == "denied:wrong-resource"
+        assert checked == [subject] * 3
+        assert ledger.canonical_bytes(world.chain.contract_state[H.STATE_RULES_KEY]) == rules_bytes
+        assert ledger.canonical_bytes(world.rules.to_state()) == rules_bytes
 
 
 class TestOutOfRangeResourceIds:

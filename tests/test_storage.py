@@ -201,6 +201,17 @@ class TestRedeem:
         assert isinstance(result, Denial)
         assert result.reason == DenialReason.REPLAY
 
+    def test_restored_redeemed_link_logs_the_same_replay_record(self):
+        node = make_node()
+        token, nonce, _ = issue(node)
+        node.redeem_link(token, nonce, NOW + 1)
+        reborn = S.StorageNode(STORAGE_KEYS)
+        reborn.restore_state(node.to_state())
+        for n in (node, reborn):
+            assert n.redeem_link(token, nonce, NOW + 2, block_height=9).reason == DenialReason.REPLAY
+        assert [r.to_dict() for r in reborn.log.records] == [r.to_dict() for r in node.log.records]
+        assert len(node.log) == 1
+
 
 class TestRecords:
     def test_one_denial_one_record_with_sequence(self):
