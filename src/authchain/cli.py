@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     p.set_defaults(func=cmd_verify_chain)
 
-    p = sub.add_parser("verify-log", help="check a log export against the root mirror")
+    p = sub.add_parser("verify-log", help="check a log export against the state sidecar's root")
     p.add_argument("--log", required=True)
     p.add_argument("--state", required=True)
     p.set_defaults(func=cmd_verify_log)

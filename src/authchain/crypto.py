@@ -17,7 +17,8 @@ objects are kept in bounded per-process caches (``KEY_CACHE_SIZE`` entries
 each), so signing, verifying and decrypting with a known key skip the parse.
 :func:`verify_sig` keeps the verdicts of the last ``VERIFY_CACHE_SIZE``
 distinct ``(public_key, message, signature)`` triples, so a signature
-checked twice on one request's path costs one Ed25519 verification.
+checked twice on one request's path, or at admission and again when its
+block is validated, costs one Ed25519 verification.
 
 :func:`verify_all` verifies a stream of signatures, on every CPU the
 process may run on when the stream is long; the worker processes live only
@@ -57,7 +58,10 @@ PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
 KEY_CACHE_SIZE = 4096  # parsed keys held per cache
-VERIFY_CACHE_SIZE = 64  # signature verdicts held, keyed by the exact triple
+# signature verdicts held, keyed by the exact triple; at least
+# ledger.DEFAULT_BATCH_SIZE, so validating a full block of just-admitted
+# transactions re-checks every signature from the cache
+VERIFY_CACHE_SIZE = 128
 # verify_all starts worker processes only for at least this many signatures;
 # below it, starting them costs more than they save
 PARALLEL_MIN_SIGNATURES = 2048

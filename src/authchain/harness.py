@@ -11,8 +11,10 @@ and the signature; the verified hand-off drives authorization (model
 inference filtered by priority rules); a grant becomes an encrypted
 single-use link issued by storage; redeeming the link returns the content
 and logs the access on chain.  Every refusal at any stage lands exactly
-once in storage's malicious-activity log, the log's rolling root is
-mirrored into contract state, and repeated misuse trips the ban rule.
+once in storage's malicious-activity log and is rolled into its root, and
+repeated misuse trips the ban rule.  The rules and the log root have one
+copy each, in the rule store and the log; :func:`save_world_artifacts`
+writes the state sidecar from them.
 """
 
 from __future__ import annotations
@@ -250,9 +252,6 @@ def setup_world(
             raise ConfigError(f"setup transaction rejected during world bootstrap ({rejected})")
     while len(world.mempool):
         _produce(world)
-
-    _mirror_rules(world)
-    _mirror_root(world)
     return world
 
 
@@ -269,26 +268,12 @@ def _produce(world: World) -> Block:
     return block
 
 
-def _mirror_rules(world: World) -> None:
-    world.chain.put_contract_state(STATE_RULES_KEY, world.rules.to_state())
-
-
-def _mirror_root(world: World) -> None:
-    """Mirror the log root, and append copies of the history entries the
-    contract state does not hold yet (the history is append-only)."""
-    log = world.storage_node.log
-    world.chain.put_contract_state(STATE_ROOT_KEY, log.root.hex())
-    mirrored = world.chain.contract_state.get(STATE_ROOT_HISTORY_KEY, [])
-    mirrored.extend(dict(h) for h in log.history[len(mirrored):])
-    world.chain.put_contract_state(STATE_ROOT_HISTORY_KEY, mirrored)
-
-
 def _deny(
     world: World, subject_hash: str, denial: Denial, offending_bytes: bytes | None = None
 ) -> Denial:
     """The one exit for a refusal, returning ``denial``: log it (given the
-    bytes; storage logs its own refusals), roll it into the log root,
-    mirror the root, and ban the subject once it reaches the ban rule."""
+    bytes; storage logs its own refusals), roll it into the log root, and
+    ban the subject once it reaches the ban rule."""
     node, cfg = world.storage_node, world.config
     if offending_bytes is not None:
         node.record_malicious(
@@ -296,7 +281,6 @@ def _deny(
             world.chain.height, world.now(),
         )
     node.roll_log()
-    _mirror_root(world)
     if (
         subject_hash != UNKNOWN_SUBJECT
         and subject_hash not in world.rules.banned
@@ -305,7 +289,6 @@ def _deny(
         )
     ):
         register_ban(world.rules, subject_hash)
-        _mirror_rules(world)
     return denial
 
 
@@ -463,7 +446,6 @@ def run_scenario(world: World, scenario_id: int) -> ScenarioReport:
                     effect=DENY,
                 )
             )
-            _mirror_rules(world)
             outcome = run_request(world, user_index, resource_id, op)
         else:
             user_index, resource_id, op = find_case(world, want_grant=True)
@@ -594,21 +576,17 @@ def _tamper_wrong_validator(world: World) -> tuple[bool, str]:
 
 
 def _tamper_malicious_record(world: World) -> tuple[bool, str]:
-    if not world.storage_node.log.records:
+    log = world.storage_node.log
+    if not log.records:
         # cause one denial so there is something to tamper with
         run_request(world, 0, 10**6, "read")
-    records = world.storage_node.log.records
-    lines = b"\n".join(canonical_bytes(r.to_dict()) for r in records)
+    lines = b"\n".join(canonical_bytes(r.to_dict()) for r in log.records)
     mutated = _flip_byte(lines, world.rng)
     try:
         loaded = parse_log_lines(mutated)
     except FormatError as exc:
         return True, f"rejected at parse: {exc}"
-    verdict = verify_log(
-        loaded,
-        world.storage_node.log.root,
-        world.chain.contract_state.get(STATE_ROOT_HISTORY_KEY),
-    )
+    verdict = verify_log(loaded, log.root, log.history)
     return not verdict.ok, f"verify_log says {verdict.verdict}"
 
 
@@ -650,15 +628,23 @@ def save_world_artifacts(
 ) -> None:
     """Write the chain file, the contract-state sidecar, and the log export.
 
-    All three are canonical-serialized, so two runs from the same seed
-    produce byte-identical files.
+    The sidecar is written from the rule store and the log as they are
+    now: the rules (with the bans), the log's rolling root and its
+    per-group history.  All three are canonical-serialized, so two runs
+    from the same seed produce byte-identical files.
     """
+    log = world.storage_node.log
     if chain_path is not None:
         save_chain(world.chain, chain_path)
     if state_path is not None:
-        write_canonical_lines(state_path, [world.chain.contract_state])
+        state = {
+            STATE_RULES_KEY: world.rules.to_state(),
+            STATE_ROOT_KEY: log.root.hex(),
+            STATE_ROOT_HISTORY_KEY: log.history,
+        }
+        write_canonical_lines(state_path, [state])
     if log_path is not None:
-        export_log(world.storage_node.log.records, log_path)
+        export_log(log.records, log_path)
 
 
 def load_contract_state(path) -> dict:

@@ -17,9 +17,9 @@ changes or forks; the chain is a single-writer, append-only list.
 Chain memory ``M`` is the key-value state derived purely from applying
 blocks: ``user/<pk-hash>`` records registered users (written by setup
 transactions) and ``resource/<id>`` records the resource catalog carried
-in the genesis payload.  Contract state that does not originate in blocks
-(priority rules, the malicious-log root mirror) lives in a separate
-``contract_state`` map updated through the same single writer.
+in the genesis payload.  It is the chain's only state besides the blocks
+and their nonces: the priority rules and the malicious-log root are kept
+by their owners (the rule store and the storage node's log).
 """
 
 from __future__ import annotations
@@ -434,11 +434,7 @@ class Chain:
     def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.memory: dict[str, Any] = {}
-        self.contract_state: dict[str, Any] = {}
         self._seen_nonces: set[bytes] = set()
-        # digests of transactions that passed check_tx at admission and are
-        # not yet in a block; block validation skips check_tx for them
-        self._admitted: set[bytes] = set()
         self._tip_hash: bytes | None = None
 
     # -- genesis-derived configuration ------------------------------------
@@ -486,11 +482,6 @@ class Chain:
                 }
             elif isinstance(tx, AccReqTx):
                 self._seen_nonces.add(tx.nonce)
-
-    # -- state writes outside blocks (single writer) -----------------------
-
-    def put_contract_state(self, key: str, value: Any) -> None:
-        self.contract_state[key] = value
 
     @classmethod
     def replay(cls, blocks: list[Block]) -> "Chain":
@@ -579,12 +570,9 @@ class Mempool:
 
         Rejection is a value, not an error: the :func:`rejection_reason`
         label is returned, and None means the transaction was admitted.
-        The admitted digest is recorded on the chain, so block validation
-        does not check the same bytes again.
         """
         reason = rejection_reason(chain, tx, now, window, pending=self._pending_nonces)
         if reason is None:
-            chain._admitted.add(tx_digest(tx))
             self._queue.append(tx)
             if isinstance(tx, AccReqTx):
                 self._pending_nonces.add(tx.nonce)
@@ -681,70 +669,54 @@ def produce_block(
     return signed(block, proposer)
 
 
-def validate_block(chain: Chain, block: Block) -> bool:
-    """Full structural check of a candidate for the chain's next height.
-
-    A transaction whose digest this chain admitted skips :func:`check_tx`:
-    the digest covers every byte the check reads.  A fresh chain has
-    admitted nothing, so replay checks every transaction.
-    """
-    return _block_digests(chain, block) is not None
-
-
-def _block_digests(
-    chain: Chain, block: Block, verify: SignatureCheck | None = None
-) -> list[bytes] | None:
-    """The block's transaction digests if it is valid, else None.
-    ``verify`` checks each signature, as in :func:`check_tx`."""
+def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
+    """Full structural check of a candidate for the chain's next height,
+    a pure function of the chain and the block: every transaction meets
+    :func:`check_tx`, whether or not this process admitted it.  ``verify``
+    checks each signature, as in :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
-        return None
+        return False
     if block.height == 0:
         payload = block.payload
         if not isinstance(payload, dict):
-            return None
+            return False
         try:
             validators = ValidatorSet(
                 tuple(bytes.fromhex(v) for v in payload["validators"])
             )
         except (ConfigError, KeyError, TypeError, ValueError):
-            return None
+            return False
         if block.prev_hash != ZERO_DIGEST or block.transactions:
-            return None
+            return False
         if block.proposer != validators.scheduled(0):
-            return None
+            return False
     else:
         if block.payload is not None:
-            return None
+            return False
         try:
             validators = chain.validator_set
         except (FormatError, ValueError):
-            return None
+            return False
         if block.prev_hash != chain.tip_hash():
-            return None
+            return False
         if block.proposer != validators.scheduled(block.height):
-            return None
-    digests = [tx_digest(t) for t in block.transactions]
-    if block.tx_root != merkle_root(digests):
-        return None
+            return False
+    if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
+        return False
     if not verify(block.proposer, signing_bytes(block), block.sig):
-        return None
+        return False
     payload = block.payload if block.height == 0 else chain.genesis_payload
-    for digest, tx in zip(digests, block.transactions):
-        if digest not in chain._admitted and check_tx(payload, tx, verify) is not None:
-            return None
-    return digests
+    return all(check_tx(payload, tx, verify) is None for tx in block.transactions)
 
 
 def append_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> None:
     """Validate and append; an invalid block leaves the chain unchanged.
     ``verify`` checks each signature, as in :func:`check_tx`."""
-    digests = _block_digests(chain, block, verify)
-    if digests is None:
+    if not validate_block(chain, block, verify):
         raise FormatError(f"invalid block at height {block.height}")
     chain.blocks.append(block)
     chain._apply_effects(block)
-    chain._admitted.difference_update(digests)
     chain._tip_hash = block_hash(block)
 
 
@@ -813,13 +785,6 @@ def _tx_user(tx: Transaction) -> bytes | None:
     if isinstance(tx, LinkTx):
         return tx.recipient
     return None
-
-
-def memory_get(chain: Chain, key: str) -> Any | None:
-    """Lookup in block-derived memory, falling back to contract state."""
-    if key in chain.memory:
-        return chain.memory[key]
-    return chain.contract_state.get(key)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Every denial anywhere in the pipeline becomes one record in the
 malicious-activity log.  Records roll into a tamper-evident chain of
 roots: each flush Merkle-hashes the new records, appends the serialized
 contract outputs, and hashes them onto the previous root.  The running
-root (and its per-group history) is mirrored into ledger contract state,
-so the off-chain log can always be cross-checked against the chain.
+root and its per-group history are kept here only; the harness writes
+them to the state sidecar beside the chain file, so an exported log can
+be cross-checked against them.
 
 A denial's log work does not grow with history: a roll visits only the
 records appended since the previous roll, and the ban check reads a
@@ -232,9 +233,9 @@ def verify_log(
     stored_history: list[dict] | None = None,
 ) -> LogVerification:
     """Recompute the rolling root over all record groups and compare it to
-    the root mirrored in contract state.
+    the stored root (the log's own, or the state sidecar's).
 
-    With the mirrored per-group history available, reports the block height
+    With the stored per-group history available, reports the block height
     of the first group whose running root diverges.
     """
     records = list(records)

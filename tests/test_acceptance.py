@@ -67,7 +67,7 @@ def test_criterion_2_replay_prevention(default_world):
     )
 
 
-def test_criterion_3_log_tamper_evidence():
+def test_criterion_3_log_tamper_evidence(tmp_path):
     world = build_small_world(seed=17)
     # produce a few denials so the log has structure (several groups)
     for i in range(4):
@@ -75,8 +75,10 @@ def test_criterion_3_log_tamper_evidence():
     records = world.storage_node.log.records
     assert len(records) >= 4
     export = b"\n".join(ledger.canonical_bytes(r.to_dict()) for r in records) + b"\n"
-    root = world.storage_node.log.root
-    history = world.chain.contract_state[H.STATE_ROOT_HISTORY_KEY]
+    H.save_world_artifacts(world, state_path=tmp_path / "state.json")
+    state = H.load_contract_state(tmp_path / "state.json")
+    root = bytes.fromhex(state[H.STATE_ROOT_KEY])
+    history = state[H.STATE_ROOT_HISTORY_KEY]
 
     untampered = sum(
         S.verify_log(S.parse_log_lines(export), root, history).ok for _ in range(100)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -65,7 +66,7 @@ class TestSetupWorld:
         assert len(shared_world.users) == 10
         assert len(shared_world.storage_node.resources) == 10
         for kp, (_, attrs) in zip(shared_world.users, shared_world.dataset.users):
-            record = ledger.memory_get(shared_world.chain, ledger.user_key(kp.public_key))
+            record = shared_world.chain.memory.get(ledger.user_key(kp.public_key))
             assert record["metadata"] == list(attrs)
 
     def test_same_seed_identical_chain_bytes(self):
@@ -129,17 +130,18 @@ class TestRunRequest:
         outcome = H.run_request(fresh_world, 0, 424242, "read")
         assert outcome.verdict == "denied:wrong-resource"
 
-    def test_root_mirror_matches_log_after_requests(self):
+    def test_root_mirror_matches_log_after_requests(self, tmp_path):
         world = build_small_world(seed=3)
         H.run_request(world, 0, 424242, "read")  # a denial
         user_index, resource_id, op = H.find_case(world, want_grant=True)
         H.run_request(world, user_index, resource_id, op)
-        mirrored = world.chain.contract_state[H.STATE_ROOT_KEY]
-        assert mirrored == world.storage_node.log.root.hex()
+        H.save_world_artifacts(world, state_path=tmp_path / "state.json")
+        state = H.load_contract_state(tmp_path / "state.json")
+        assert state[H.STATE_ROOT_KEY] == world.storage_node.log.root.hex()
         verdict = S.verify_log(
             world.storage_node.log.records,
-            bytes.fromhex(mirrored),
-            world.chain.contract_state[H.STATE_ROOT_HISTORY_KEY],
+            bytes.fromhex(state[H.STATE_ROOT_KEY]),
+            state[H.STATE_ROOT_HISTORY_KEY],
         )
         assert verdict.ok
 
@@ -155,13 +157,12 @@ class TestRunRequest:
             resource_id = rng.choice(resource_ids + [10**6])  # and an absent one
             H.run_request(world, user_index, resource_id, rng.choice(OPERATIONS))
         log = world.storage_node.log
-        mirrored = world.chain.contract_state[H.STATE_ROOT_HISTORY_KEY]
         assert len(log.history) > 50
-        assert mirrored == log.history
-        assert not any(m is h for m, h in zip(mirrored, log.history))
-        path = tmp_path / "log.jsonl"
-        H.save_world_artifacts(world, log_path=path)
-        assert S.verify_log(S.load_log(path), log.root, mirrored).ok
+        state_path, log_path = tmp_path / "state.json", tmp_path / "log.jsonl"
+        H.save_world_artifacts(world, state_path=state_path, log_path=log_path)
+        saved = H.load_contract_state(state_path)[H.STATE_ROOT_HISTORY_KEY]
+        assert saved == log.history
+        assert S.verify_log(S.load_log(log_path), log.root, saved).ok
 
     def test_every_denial_yields_exactly_one_record(self):
         # bijection between denied outcomes and malicious records
@@ -253,7 +254,7 @@ class TestScenarios:
 
     def test_rule_set_up_under_the_world_lock(self, monkeypatch):
         world = build_small_world(seed=42)
-        seen = probe_lock_during(monkeypatch, world, H, "_mirror_rules")
+        seen = probe_lock_during(monkeypatch, world, world.rules, "add")
         assert H.run_scenario(world, 3).passed
         assert seen and not any(seen)
 
@@ -304,20 +305,6 @@ class TestBanPathway:
         )
         assert counts[subject] == len(on_chain) == 2
 
-    def test_repeated_denials_of_a_banned_subject_do_not_mirror_rules(self, monkeypatch):
-        world = build_small_world(seed=13)
-        mirrors: list[int] = []
-        original = H._mirror_rules
-        monkeypatch.setattr(H, "_mirror_rules", lambda w: mirrors.append(1) or original(w))
-        for _ in range(3):
-            H.run_request(world, 2, 10**6, "read")
-        assert len(mirrors) == 1  # the ban
-        state = world.chain.contract_state[H.STATE_RULES_KEY]
-        for _ in range(4):
-            assert H.run_request(world, 2, 10**6, "read").verdict == "denied:wrong-resource"
-        assert len(mirrors) == 1
-        assert world.chain.contract_state[H.STATE_RULES_KEY] == state == world.rules.to_state()
-
     def test_repeated_denials_of_a_banned_subject_skip_the_ban_check(self, monkeypatch):
         world = build_small_world(seed=13)
         subject = ledger.subject_id(world.users[2].public_key)
@@ -333,11 +320,10 @@ class TestBanPathway:
             H.run_request(world, 2, 10**6, "read")
         assert subject in world.rules.banned
         assert checked == [subject] * 3
-        rules_bytes = ledger.canonical_bytes(world.chain.contract_state[H.STATE_RULES_KEY])
+        rules_bytes = ledger.canonical_bytes(world.rules.to_state())
         for _ in range(4):
             assert H.run_request(world, 2, 10**6, "read").verdict == "denied:wrong-resource"
         assert checked == [subject] * 3
-        assert ledger.canonical_bytes(world.chain.contract_state[H.STATE_RULES_KEY]) == rules_bytes
         assert ledger.canonical_bytes(world.rules.to_state()) == rules_bytes
 
 
@@ -399,13 +385,15 @@ class TestCryptoCounts:
         return counts
 
     def test_verify_and_sign_counts_per_request(self, monkeypatch):
+        # block validation re-checks each signed transaction admission
+        # checked, so a grant calls verify_sig once more per block
         world = H.setup_world(3, 30, 12, seed=0)
         counts = self.count_calls(monkeypatch)
         cases = {
-            "allowed": (H.find_case(world, want_grant=True), (7, 6)),
-            "denied:model-denied": (H.find_case(world, want_grant=False), (4, 3)),
-            "denied:wrong-resource": ((0, 10**6, "read"), (4, 3)),
-            "denied:unauthenticated": ((len(world.users), 0, "read"), (2, 2)),
+            "allowed": (H.find_case(world, want_grant=True), (10, 6)),
+            "denied:model-denied": (H.find_case(world, want_grant=False), (5, 3)),
+            "denied:wrong-resource": ((0, 10**6, "read"), (5, 3)),
+            "denied:unauthenticated": ((len(world.users), 0, "read"), (3, 2)),
         }
         for verdict, (case, expected) in cases.items():
             counts.update(verify=0, sign=0)
@@ -427,6 +415,24 @@ class TestCryptoCounts:
             misses = crypto._ed25519_verdict.cache_info().misses
             assert H.run_request(world, *case).verdict == verdict
             assert crypto._ed25519_verdict.cache_info().misses - misses == expected, verdict
+
+    def test_setup_block_reverified_from_the_cache(self, monkeypatch):
+        # a full block of setup transactions: block validation checks each
+        # one again, and the verdict cache answers every re-check
+        verified: Counter[bytes] = Counter()
+        inner = crypto.verify_sig
+
+        def counted(public_key, message, signature):
+            verified[signature] += 1
+            return inner(public_key, message, signature)
+
+        monkeypatch.setattr(crypto, "verify_sig", counted)
+        crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
+        world = H.setup_world(3, ledger.DEFAULT_BATCH_SIZE, 5, seed=0)
+        setup_sigs = [tx.sig for block in world.chain.blocks for tx in block.transactions]
+        assert len(setup_sigs) == len(world.chain.blocks[1].transactions) == ledger.DEFAULT_BATCH_SIZE
+        assert all(verified[sig] == 2 for sig in setup_sigs)  # admission, block validation
+        assert crypto._ed25519_verdict.cache_info().misses == len(verified)
 
     def test_replay_from_disk_verifies_every_signature(self, tmp_path, monkeypatch):
         world = H.setup_world(3, 30, 12, seed=0)
@@ -460,6 +466,20 @@ class TestArtifacts:
             "20fd507331477ef7b8427968fb904d206dcf8d4d71de9a1031c431e4410e604a",
             "c2aa49eb194e220a37e0079c07c8f118909466da3779136f6265994bd1c9553a",
         ]
+
+    def test_state_sidecar_holds_rules_added_before_any_ban(self, tmp_path):
+        world = build_small_world(seed=3)
+        rule = PriorityRule(
+            ordinal=world.rules.next_ordinal(),
+            subject=ledger.subject_id(world.users[0].public_key),
+            resource="*",
+            operations=(True,) * len(OPERATIONS),
+            effect=DENY,
+        )
+        world.rules.add(rule)
+        H.save_world_artifacts(world, state_path=tmp_path / "state.json")
+        state = H.load_contract_state(tmp_path / "state.json")
+        assert state[H.STATE_RULES_KEY] == {"rules": [rule.to_dict()], "banned": []}
 
     def test_save_world_artifacts_deterministic(self, tmp_path):
         for run in ("a", "b"):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger
 from authchain.errors import ConfigError, FormatError, ScheduleError
-from authchain.model import OPERATIONS
 from conftest import build_small_world
 
 
@@ -182,7 +181,7 @@ class TestGenesis:
 
     def test_resources_registered_in_memory(self):
         chain = fresh_chain(resources={7: ATTRS})
-        assert ledger.memory_get(chain, ledger.resource_key(7)) == {
+        assert chain.memory.get(ledger.resource_key(7)) == {
             "metadata": list(ATTRS)
         }
 
@@ -371,19 +370,6 @@ class TestBlocks:
         assert self.chain.height == 1
         mine(self.chain, self.mempool, self.now)
         assert self.chain.blocks[-1].transactions == (original,)
-        assert not self.chain._admitted
-
-    def test_admitted_digests_drained_by_requests(self):
-        world = build_small_world(seed=11)
-        assert not world.chain._admitted
-        rng = random.Random(11)
-        n_users = len(world.users)
-        resource_ids = [rid for rid, _ in world.dataset.resources]
-        for _ in range(120):
-            user_index = rng.randrange(n_users + 2)  # a few outsiders
-            resource_id = rng.choice(resource_ids + [10**6])
-            H.run_request(world, user_index, resource_id, rng.choice(OPERATIONS))
-            assert not world.chain._admitted
 
     def test_admin_signed_setup_with_bad_metadata_invalid(self):
         # admission refuses this as "malformed"; block validation must too
@@ -434,12 +420,12 @@ class TestChainState:
     def test_setup_registers_user_hash(self):
         chain, _ = build_chain_with_users()
         key = ledger.user_key(USERS[0].public_key)
-        record = ledger.memory_get(chain, key)
+        record = chain.memory.get(key)
         assert record is not None and record["metadata"] == list(ATTRS)
 
     def test_unregistered_key_absent(self):
         chain, _ = build_chain_with_users()
-        assert ledger.memory_get(chain, ledger.user_key(kp("nobody").public_key)) is None
+        assert chain.memory.get(ledger.user_key(kp("nobody").public_key)) is None
 
     def test_replay_reconstructs_memory_exactly(self):
         chain, _ = build_chain_with_users(n_blocks=5)
@@ -465,11 +451,6 @@ class TestChainState:
             [chain.blocks[0], chain.blocks[2], chain.blocks[1], chain.blocks[3]]
         )
         assert not ledger.validate_chain(swapped)
-
-    def test_contract_state_shadowed_by_memory(self):
-        chain, _ = build_chain_with_users()
-        chain.put_contract_state("some/key", {"v": 1})
-        assert ledger.memory_get(chain, "some/key") == {"v": 1}
 
 
 class TestTipHashCache:
@@ -768,4 +749,4 @@ class TestPersistence:
         path = tmp_path / "chain.jsonl"
         ledger.save_chain(chain, path)
         loaded = ledger.load_chain(path)
-        assert ledger.memory_get(loaded, ledger.user_key(USERS[0].public_key)) is not None
+        assert loaded.memory.get(ledger.user_key(USERS[0].public_key)) is not None
