@@ -292,6 +292,16 @@ def _deny(
     return denial
 
 
+def _admit(world: World, subject_hash: str, accreq: AccReqTx) -> Denial | None:
+    """Submit an access request to the mempool; a refusal goes through
+    :func:`_deny` with the request's bytes and is returned."""
+    label = world.mempool.submit(world.chain, accreq, world.now(), world.config.freshness_window)
+    if label is None:
+        return None
+    reason = ADMISSION_DENIAL_REASONS.get(label, DenialReason.UNAUTHENTICATED)
+    return _deny(world, subject_hash, Denial(reason, label), tx_canonical_bytes(accreq))
+
+
 def check_resource_id(resource_id: int) -> None:
     """Raise ``ValueError`` unless a request may carry ``resource_id``."""
     if not CANONICAL_INT_MIN <= resource_id <= CANONICAL_INT_MAX:
@@ -334,10 +344,9 @@ def _run_request_locked(
 
     nonce = crypto.gen_nonce(world.rng)
     accreq = make_accreq(user, resource_id, operation, nonce, world.now())
-    label = world.mempool.submit(world.chain, accreq, world.now(), cfg.freshness_window)
-    if label is not None:
-        reason = ADMISSION_DENIAL_REASONS.get(label, DenialReason.UNAUTHENTICATED)
-        return outcome(_deny(world, subject, Denial(reason, label), tx_canonical_bytes(accreq)))
+    refused = _admit(world, subject, accreq)
+    if refused is not None:
+        return outcome(refused)
 
     heights.append(_produce(world).height)
 
@@ -541,12 +550,10 @@ def _tamper_replay_accreq(world: World) -> tuple[bool, str]:
         if isinstance(tx, AccReqTx) and tx.user_pk == user_pk
     )
     world.clock.tick(world.config.freshness_window + 1)
-    label = world.mempool.submit(
-        world.chain, captured, world.now(), world.config.freshness_window
-    )
-    if label is None:
+    refused = _admit(world, subject_id(user_pk), captured)
+    if refused is None:
         return False, "replayed request admitted"
-    return True, f"replayed request rejected ({label}); first run {outcome.verdict}"
+    return True, f"replayed request rejected ({refused.detail}); first run {outcome.verdict}"
 
 
 def _tamper_wrong_validator(world: World) -> tuple[bool, str]:

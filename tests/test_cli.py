@@ -13,6 +13,7 @@ from authchain.cli import _build_world, _config_from_args, build_parser, dispatc
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
 from authchain.harness import TAMPER_MUTATIONS, setup_world
+from authchain.ledger import AccReqTx, load_chain, tx_canonical_bytes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -299,6 +300,15 @@ class TestWorldCommands:
         dispatch(["tamper", "--mutation", "reuse-link", *WORLD_FLAGS, *world_files(tmp_path)])
         lines = (tmp_path / "log.jsonl").read_text().splitlines()
         assert [json.loads(line)["reason"] for line in lines] == ["replay"]
+
+    def test_tamper_replay_accreq_logs_the_replay(self, tmp_path, capsys):
+        dispatch(["tamper", "--mutation", "replay-accreq", *WORLD_FLAGS, *world_files(tmp_path)])
+        records = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert [record["reason"] for record in records] == ["stale"]
+        # the record holds the captured request's bytes, as mined the first time
+        chain = load_chain(tmp_path / "chain.jsonl")
+        accreqs = [tx for b in chain.blocks for tx in b.transactions if isinstance(tx, AccReqTx)]
+        assert bytes.fromhex(records[0]["tx"]) == tx_canonical_bytes(accreqs[-1])
 
 
 class TestInputErrors:

@@ -463,8 +463,8 @@ class TestArtifacts:
         H.save_world_artifacts(world, *paths)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
             "0f1602bde6a7a60f3afa5cf9a8d3c01802f5f3c774d215f1e683932549eda423",
-            "20fd507331477ef7b8427968fb904d206dcf8d4d71de9a1031c431e4410e604a",
-            "c2aa49eb194e220a37e0079c07c8f118909466da3779136f6265994bd1c9553a",
+            "6a0a68b7fea678823e8a0875945b2e7aabc1d0608f3a852cbc97bf4dc8449342",
+            "4bda5511465a02e5c8f9a7208dce5bd74cd2931e725f17bfb1f55e2e678ff45f",
         ]
 
     def test_state_sidecar_holds_rules_added_before_any_ban(self, tmp_path):
