@@ -20,7 +20,6 @@ serialized by the caller through the single ledger writer.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
@@ -38,7 +37,6 @@ from .ledger import (
 from .model import (
     DecisionModel,
     N_OPERATIONS,
-    OPERATIONS,
     binary_repr,
     encode_attrs,
     infer,
@@ -199,45 +197,6 @@ class RuleStore:
         store = cls(tuple(PriorityRule.from_dict(d) for d in state.get("rules", [])))
         store.banned = set(state.get("banned", []))
         return store
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["ordinal", "subject", "resource", "ops", "effect"])
-            for r in self._rules:
-                ops = WILDCARD if all(r.operations) else "|".join(
-                    name for name, on in zip(OPERATIONS, r.operations) if on
-                )
-                writer.writerow([r.ordinal, r.subject, r.resource, ops, r.effect])
-
-    @classmethod
-    def from_csv(cls, path) -> "RuleStore":
-        store = cls()
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.DictReader(fh)
-            for row in reader:
-                store.add(
-                    PriorityRule(
-                        ordinal=int(row["ordinal"]),
-                        subject=row["subject"],
-                        resource=row["resource"],
-                        operations=parse_ops(row["ops"]),
-                        effect=row["effect"].strip().upper(),
-                    )
-                )
-        return store
-
-
-def parse_ops(text: str) -> tuple[bool, ...]:
-    """Operation mask from a pipe-separated list of names, or ``*`` for all."""
-    text = text.strip()
-    if text == WILDCARD:
-        return (True,) * N_OPERATIONS
-    wanted = {part.strip() for part in text.split("|") if part.strip()}
-    unknown = wanted - set(OPERATIONS)
-    if unknown:
-        raise ValueError(f"unknown operations {sorted(unknown)}")
-    return tuple(name in wanted for name in OPERATIONS)
 
 
 # ---------------------------------------------------------------------------

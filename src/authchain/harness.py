@@ -410,9 +410,12 @@ def find_case(
     """First (user index, resource id, operation) whose model verdict matches
     ``want_grant`` and that no current priority rule touches.  The verdict
     is the one :func:`authorize` reaches, from the same ``infer`` and
-    ``threshold_decide``."""
+    ``threshold_decide``.  A banned user's front DENY-all rule touches
+    every pair, so banned users are passed over before any rule scan."""
     for user_index, (_, attrs) in enumerate(world.dataset.users):
         subject = subject_id(world.users[user_index].public_key)
+        if subject in world.rules.banned:
+            continue
         for resource_id, resource_attrs in world.dataset.resources:
             if (user_index, resource_id) in skip:
                 continue

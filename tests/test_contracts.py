@@ -293,15 +293,6 @@ class TestRegisterBan:
 
 
 class TestRuleStorePersistence:
-    def test_csv_round_trip(self, tmp_path):
-        rules = C.RuleStore()
-        rules.add(C.PriorityRule(0, "abc", "3", (True, False, True, False), C.DENY))
-        rules.add(C.PriorityRule(2, "*", "*", (True,) * 4, C.ALLOW))
-        path = tmp_path / "rules.csv"
-        rules.to_csv(path)
-        loaded = C.RuleStore.from_csv(path)
-        assert loaded.rules == rules.rules
-
     def test_state_round_trip(self):
         rules = C.RuleStore()
         rules.add(C.PriorityRule(5, "s", "*", (False, True, False, True), C.ALLOW))
@@ -309,9 +300,3 @@ class TestRuleStorePersistence:
         restored = C.RuleStore.from_state(rules.to_state())
         assert restored.rules == rules.rules
         assert restored.banned == rules.banned
-
-    def test_parse_ops(self):
-        assert C.parse_ops("*") == (True, True, True, True)
-        assert C.parse_ops("read|own") == (True, False, False, True)
-        with pytest.raises(ValueError):
-            C.parse_ops("fly")

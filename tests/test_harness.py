@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger, storage as S
-from authchain.contracts import DENY, PriorityRule
+from authchain.contracts import DENY, PriorityRule, register_ban
+from authchain.config import Config
 from authchain.errors import ConfigError
 from authchain.model import OPERATIONS
 from conftest import build_small_world
@@ -223,6 +224,22 @@ class TestFindCase:
         assert H.run_request(world, *cases[False]).verdict == "denied:model-denied"
 
 
+    def test_banned_users_skipped_before_the_rule_scan(self, monkeypatch):
+        world = build_small_world(seed=3)
+        banned = {ledger.subject_id(kp.public_key) for kp in world.users[:3]}
+        for subject in sorted(banned):
+            register_ban(world.rules, subject)
+        scanned: list[str] = []
+        first_match = world.rules.first_match
+        monkeypatch.setattr(
+            world.rules, "first_match", lambda s, r: scanned.append(s) or first_match(s, r)
+        )
+        user_index, resource_id, op = H.find_case(world, want_grant=True)
+        assert user_index >= 3
+        assert scanned and not banned & set(scanned)
+        assert H.run_request(world, user_index, resource_id, op).allowed
+
+
 class TestScenarios:
     def test_all_four_pass(self):
         world = build_small_world(seed=42)
@@ -416,9 +433,11 @@ class TestCryptoCounts:
             assert H.run_request(world, *case).verdict == verdict
             assert crypto._ed25519_verdict.cache_info().misses - misses == expected, verdict
 
-    def test_setup_block_reverified_from_the_cache(self, monkeypatch):
-        # a full block of setup transactions: block validation checks each
-        # one again, and the verdict cache answers every re-check
+    @pytest.mark.parametrize("batch_size", [ledger.DEFAULT_BATCH_SIZE, 7])
+    def test_setup_block_reverified_from_the_cache(self, monkeypatch, batch_size):
+        # one full block of setup transactions, or a backlog mined over
+        # many blocks: block validation checks each one again, and the
+        # verdict cache answers every re-check
         verified: Counter[bytes] = Counter()
         inner = crypto.verify_sig
 
@@ -428,9 +447,12 @@ class TestCryptoCounts:
 
         monkeypatch.setattr(crypto, "verify_sig", counted)
         crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
-        world = H.setup_world(3, ledger.DEFAULT_BATCH_SIZE, 5, seed=0)
+        world = H.setup_world(
+            3, ledger.DEFAULT_BATCH_SIZE, 5, seed=0, config=Config(batch_size=batch_size)
+        )
         setup_sigs = [tx.sig for block in world.chain.blocks for tx in block.transactions]
-        assert len(setup_sigs) == len(world.chain.blocks[1].transactions) == ledger.DEFAULT_BATCH_SIZE
+        assert len(setup_sigs) == ledger.DEFAULT_BATCH_SIZE
+        assert max(len(block.transactions) for block in world.chain.blocks) == batch_size
         assert all(verified[sig] == 2 for sig in setup_sigs)  # admission, block validation
         assert crypto._ed25519_verdict.cache_info().misses == len(verified)
 
