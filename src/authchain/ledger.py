@@ -671,9 +671,9 @@ def produce_block(
 
 def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
     """Full structural check of a candidate for the chain's next height,
-    a pure function of the chain and the block: every transaction meets
-    :func:`check_tx`, whether or not this process admitted it.  ``verify``
-    checks each signature, as in :func:`check_tx`."""
+    a pure function of the chain and the block; every transaction must
+    meet :func:`check_tx`.  ``verify`` checks each signature, as in
+    :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return False
