@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger, storage as S
-from authchain.contracts import DENY, PriorityRule, register_ban
 from authchain.config import Config
+from authchain.contracts import DENY, PriorityRule, register_ban
 from authchain.errors import ConfigError
 from authchain.model import OPERATIONS
 from conftest import build_small_world
@@ -222,7 +222,6 @@ class TestFindCase:
         assume(len(cases) == 2)  # a tiny world can grant (or deny) every pair
         assert H.run_request(world, *cases[True]).verdict == "allowed"
         assert H.run_request(world, *cases[False]).verdict == "denied:model-denied"
-
 
     def test_banned_users_skipped_before_the_rule_scan(self, monkeypatch):
         world = build_small_world(seed=3)
