@@ -22,8 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import median
 
-from .contracts import RuleStore, PriorityRule, apply_priority_rules, ALLOW, DENY
-from .crypto import hash_bytes
 from .model import (
     DecisionModel,
     N_ATTRIBUTES,
@@ -35,7 +33,7 @@ from .model import (
     _init_layers,
 )
 
-ENGINES = ("dlbac", "dlbac+authorization-overhead", "rbac", "abac")
+ENGINES = ("dlbac", "rbac", "abac")
 
 RBAC_CONDITIONS_PER_ATTRIBUTE = 3
 ABAC_CONDITIONS_PER_ATTRIBUTE = 6
@@ -184,18 +182,6 @@ def _bench_model(seed: int) -> DecisionModel:
     return DecisionModel(tuple(_init_layers((64, 32, 16, 4), seed)))
 
 
-def _bench_rules(seed: int) -> RuleStore:
-    rng = random.Random(f"bench-rules/{seed}")
-    store = RuleStore()
-    for ordinal in range(8):
-        subject = hash_bytes(rng.randbytes(8)).hex() if rng.random() < 0.7 else "*"
-        resource = str(rng.randint(0, 63)) if rng.random() < 0.7 else "*"
-        mask = tuple(rng.random() < 0.5 for _ in range(N_OPERATIONS))
-        effect = DENY if rng.random() < 0.5 else ALLOW
-        store.add(PriorityRule(ordinal, subject, resource, mask, effect))
-    return store
-
-
 def generate_requests(n: int, seed: int, n_resources: int = 64, n_users: int = 256):
     """Deterministic request stream shared by every engine."""
     rng = random.Random(f"requests/{seed}")
@@ -221,19 +207,6 @@ def _make_checker(engine: str, policy_scale: int, seed: int, model: DecisionMode
         def check(user_attrs, resource_id, resource_attrs, op) -> bool:
             scores = infer(net, encode_pair(user_attrs, resource_attrs))
             return threshold_decide(scores)[OPERATIONS.index(op)]
-
-        return check
-    if engine == "dlbac+authorization-overhead":
-        net = model or _bench_model(seed)
-        rules = _bench_rules(seed)
-
-        def check(user_attrs, resource_id, resource_attrs, op) -> bool:
-            # includes the non-inference contract work: bit decode + rule filter
-            bits = encode_pair(user_attrs, resource_attrs)
-            mask = threshold_decide(infer(net, bits))
-            subject = "".join(str(b) for b in bits[:32])
-            final = apply_priority_rules(mask, rules, subject, resource_id)
-            return final[OPERATIONS.index(op)]
 
         return check
     if engine == "rbac":

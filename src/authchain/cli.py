@@ -250,11 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def world_flags(p: argparse.ArgumentParser) -> None:
+    def shape_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--users", type=int)
         p.add_argument("--resources", type=int)
+
+    def world_flags(p: argparse.ArgumentParser) -> None:
+        shape_flags(p)
         p.add_argument("--validators", type=int)
         p.add_argument("--chain", dest="chain_path")
         p.add_argument("--state", dest="state_path")
@@ -265,19 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset CSV")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--resources", type=int)
+    shape_flags(p)
     p.add_argument("--split", choices=("train", "test", "all"), default="all")
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the decision model and save weights")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--resources", type=int)
+    shape_flags(p)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--out", dest="weights_path")
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--weights", help="optional weight file for the dlbac engines")
+    p.add_argument("--weights", help="optional weight file for the dlbac engine")
     p.add_argument("--out", help="stats CSV path")
     p.add_argument("--decisions-out", dest="decisions_out", help="decision CSV path")
     p.set_defaults(func=cmd_bench)

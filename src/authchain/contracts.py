@@ -95,7 +95,6 @@ class AccessList:
     """Final grant mask with its provenance."""
 
     grants: tuple[bool, ...]
-    scores: tuple[float, ...]
     rule: "PriorityRule | None"
     requested: str
 
@@ -253,19 +252,9 @@ def authenticate(
     )
 
 
-def apply_priority_rules(
-    mask: tuple[bool, ...],
-    rules: RuleStore,
-    subject_hash: str,
-    resource_id: int,
-) -> tuple[bool, ...]:
-    """First matching rule applied: DENY clears its operations, ALLOW sets
-    them; no match leaves the mask unchanged."""
-    rule = rules.first_match(subject_hash, resource_id)
-    return _apply_rule(mask, rule)
-
-
-def _apply_rule(mask: tuple[bool, ...], rule: PriorityRule | None) -> tuple[bool, ...]:
+def apply_rule(mask: tuple[bool, ...], rule: PriorityRule | None) -> tuple[bool, ...]:
+    """``mask`` filtered by the first matching rule: DENY clears the
+    operations it names, ALLOW sets them; no match leaves the mask as is."""
     if rule is None:
         return tuple(mask)
     if rule.effect == DENY:
@@ -295,10 +284,10 @@ def authorize(
     mask = threshold_decide(scores, threshold)
     subject_hash = subject_id(payload.user_pk)
     rule = rules.first_match(subject_hash, payload.resource_id)
-    final = _apply_rule(mask, rule)
+    final = apply_rule(mask, rule)
     op = operation_index(payload.operation)
     if final[op]:
-        return AccessList(grants=final, scores=scores, rule=rule, requested=payload.operation)
+        return AccessList(grants=final, rule=rule, requested=payload.operation)
     if rule is not None and rule.effect == DENY and rule.operations[op]:
         reason = DenialReason.POLICY_DENIED
     else:

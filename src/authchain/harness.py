@@ -20,9 +20,10 @@ writes the state sidecar from them.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass, field, replace
+
+import orjson
 
 from . import crypto
 from .config import Config
@@ -147,9 +148,6 @@ class RequestOutcome:
     verdict: str  # "allowed" or "denied:<reason>"
     content_hash: bytes | None
     heights: tuple[int, ...]
-    user_index: int
-    resource_id: int
-    operation: str
 
     @property
     def allowed(self) -> bool:
@@ -223,10 +221,8 @@ def setup_world(
 
     storage_node = StorageNode(storage_keys, link_ttl=config.link_ttl)
     content_rng = crypto.seeded_rng(derive_seed(seed, "content"))
-    for rid, attrs in dataset.resources:
-        storage_node.put_resource(
-            Resource(id=rid, metadata=attrs, content=content_rng.read(RESOURCE_CONTENT_SIZE))
-        )
+    for rid, _ in dataset.resources:
+        storage_node.put_resource(Resource(id=rid, content=content_rng.read(RESOURCE_CONTENT_SIZE)))
 
     world = World(
         config=config,
@@ -243,14 +239,20 @@ def setup_world(
         users=users,
     )
 
+    # each full batch is mined as soon as it is admitted, so no more
+    # signatures wait between admission and block validation than one
+    # block holds, and the verdict cache answers every re-check
+    now = clock.now()
     for kp, (_, attrs) in zip(users, dataset.users):
         rejected = world.mempool.submit(
-            chain, make_setup(admin, kp.public_key, attrs, clock.now()), clock.now(),
+            chain, make_setup(admin, kp.public_key, attrs, now), now,
             config.freshness_window,
         )
         if rejected is not None:
             raise ConfigError(f"setup transaction rejected during world bootstrap ({rejected})")
-    while len(world.mempool):
+        if len(world.mempool) == config.batch_size:
+            _produce(world)
+    if len(world.mempool):
         _produce(world)
     return world
 
@@ -337,9 +339,6 @@ def _run_request_locked(
             verdict="allowed" if denial is None else f"denied:{denial.reason.value}",
             content_hash=None if content is None else crypto.hash_bytes(content),
             heights=tuple(heights),
-            user_index=user_index,
-            resource_id=resource_id,
-            operation=operation,
         )
 
     nonce = crypto.gen_nonce(world.rng)
@@ -659,20 +658,28 @@ def save_world_artifacts(
 
 def load_contract_state(path) -> dict:
     """Parse the contract-state sidecar; raises :class:`FormatError` unless
-    it is an object whose log root is present and a string and whose root
-    history is a list of ``{"root": str, "height": int}`` entries."""
+    it is one canonical line (as :func:`save_world_artifacts` writes it)
+    holding an object whose log root is present and a lower-case string
+    and whose root history is a list of ``{"root": str, "height": int}``
+    entries."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        state = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        state = orjson.loads(data)
+        canonical = canonical_bytes(state) + b"\n"
+    except ValueError as exc:  # orjson's decode errors are ValueErrors
         raise FormatError(f"state file: {exc}") from exc
+    if data != canonical:
+        raise FormatError("state file: non-canonical encoding")
     if not isinstance(state, dict):
         raise FormatError("state file: not a JSON object")
     if STATE_ROOT_KEY not in state:
         raise FormatError(f"state file: no {STATE_ROOT_KEY}")
-    if not isinstance(state[STATE_ROOT_KEY], str):
+    root = state[STATE_ROOT_KEY]
+    if not isinstance(root, str):
         raise FormatError(f"state file: {STATE_ROOT_KEY} is not a string")
+    if root != root.lower():  # one spelling of the root, as a chain or log line has
+        raise FormatError(f"state file: {STATE_ROOT_KEY} is not lower-case hex")
     history = state.get(STATE_ROOT_HISTORY_KEY, [])
     if not isinstance(history, list) or not all(
         isinstance(h, dict) and isinstance(h.get("root"), str) and isinstance(h.get("height"), int)

@@ -476,10 +476,7 @@ class Chain:
                 }
         for tx in block.transactions:
             if isinstance(tx, SetupTx):
-                self.memory[user_key(tx.user_pk)] = {
-                    "metadata": list(tx.metadata),
-                    "registered_at": tx.timestamp,
-                }
+                self.memory[user_key(tx.user_pk)] = {"metadata": list(tx.metadata)}
             elif isinstance(tx, AccReqTx):
                 self._seen_nonces.add(tx.nonce)
 

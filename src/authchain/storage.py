@@ -23,11 +23,12 @@ every record.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Iterable
+
+import orjson
 
 from . import crypto
 from .contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
@@ -44,7 +45,7 @@ from .ledger import (
     subject_id,
     write_canonical_lines,
 )
-from .model import check_metadata, operation_index
+from .model import operation_index
 
 DEFAULT_LINK_TTL = 120  # seconds, matches the global freshness window
 DEFAULT_BAN_THRESHOLD = 3
@@ -57,11 +58,7 @@ UNKNOWN_SUBJECT = "unknown"
 @dataclass
 class Resource:
     id: int
-    metadata: tuple[int, ...]
     content: bytes
-
-    def __post_init__(self) -> None:
-        self.metadata = check_metadata(self.metadata)
 
 
 @dataclass
@@ -481,7 +478,7 @@ class StorageNode:
                 for link in self.links.values()
             ],
             "resources": [
-                {"id": r.id, "metadata": list(r.metadata), "content": r.content.hex()}
+                {"id": r.id, "content": r.content.hex()}
                 for r in self.resources.values()
             ],
         }
@@ -503,11 +500,7 @@ class StorageNode:
             self.resources = {}
             for d in state.get("resources", []):
                 self.put_resource(
-                    Resource(
-                        id=int(d["id"]),
-                        metadata=tuple(int(a) for a in d["metadata"]),
-                        content=bytes.fromhex(d["content"]),
-                    )
+                    Resource(id=int(d["id"]), content=bytes.fromhex(d["content"]))
                 )
 
 
@@ -516,7 +509,7 @@ def read_link_note(secret_key: bytes, link_tx: LinkTx) -> tuple[bytes, bytes]:
     for the link's recipient; :class:`FormatError` for a note this key
     cannot decrypt or that does not parse."""
     try:
-        note = json.loads(crypto.decrypt(secret_key, link_tx.ciphertext))
+        note = orjson.loads(crypto.decrypt(secret_key, link_tx.ciphertext))
         return bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"])
     except (DecryptError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"unreadable link note: {exc}") from exc

@@ -140,14 +140,6 @@ class TestMeasure:
         b = B.measure("rbac", n_requests=60, n_threads=1, policy_scale=2, seed=8)
         assert a.decisions == b.decisions
 
-    def test_overhead_engine_runs(self):
-        stats = B.measure(
-            "dlbac+authorization-overhead", n_requests=40, n_threads=1,
-            policy_scale=1, seed=2,
-        )
-        assert stats.n_requests == 40
-        assert stats.mean_ns > 0
-
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             B.measure("crystal-ball", 40, 1, 1, 0)

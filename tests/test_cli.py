@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from authchain.bench import ENGINES
 from authchain.cli import _build_world, _config_from_args, build_parser, dispatch
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
 from authchain.harness import TAMPER_MUTATIONS, setup_world
-from authchain.ledger import AccReqTx, load_chain, tx_canonical_bytes
+from authchain.ledger import AccReqTx, canonical_bytes, load_chain, tx_canonical_bytes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -257,15 +258,21 @@ class TestWorldCommands:
             {"malicious_root": 5},
             {"malicious_root": "0" * 64, "malicious_roots": [{"height": 3}]},
             {"malicious_root": "0" * 64, "malicious_roots": [{"root": "00"}]},
+            {"malicious_root": "AB" * 32},
+            # the empty log's own root, re-encoded
+            json.dumps({"malicious_root": "0" * 64, "malicious_roots": []}, indent=2).encode(),
         ],
         ids=["list", "no-root", "numeric-root", "history-without-root",
-             "history-without-height"],
+             "history-without-height", "upper-case-root", "indented"],
     )
     def test_verify_log_malformed_state_unreadable(self, tmp_path, capsys, state):
         log_file = tmp_path / "log.jsonl"
         log_file.write_bytes(b"")
         state_file = tmp_path / "state.json"
-        state_file.write_text(json.dumps(state))
+        # a value is written canonically, so its shape check is what refuses it
+        state_file.write_bytes(
+            state if isinstance(state, bytes) else canonical_bytes(state) + b"\n"
+        )
         assert dispatch(["verify-log", "--log", str(log_file), "--state", str(state_file)]) == 1
         assert capsys.readouterr().out.startswith("Compromised (unreadable: ")
 
@@ -352,6 +359,11 @@ class TestInputErrors:
 
 
 class TestBenchCommands:
+    def test_readme_names_every_engine(self):
+        text = README.read_text(encoding="utf-8")
+        sentence = text.split("Engines for `bench --engine`:", 1)[1].split(". ", 1)[0]
+        assert tuple(re.findall(r"`([^`]+)`", sentence)) == ENGINES
+
     def test_bench_writes_stats_and_decisions(self, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
         decisions = tmp_path / "decisions.csv"

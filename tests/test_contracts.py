@@ -39,7 +39,7 @@ READ_ONLY = biased_model([10.0, -10.0, -10.0, -10.0])
 
 def memory_with(user=USER, attrs=USER_ATTRS) -> dict:
     return {
-        ledger.user_key(user.public_key): {"metadata": list(attrs), "registered_at": NOW},
+        ledger.user_key(user.public_key): {"metadata": list(attrs)},
         ledger.resource_key(RESOURCE_ID): {"metadata": list(RESOURCE_ATTRS)},
     }
 
@@ -157,7 +157,6 @@ class TestAuthorize:
         decision = C.authorize(payload, memory_with(), READ_ONLY, C.RuleStore(), NOW)
         assert isinstance(decision, C.AccessList)
         assert decision.grants == expected
-        assert decision.scores == scores
 
     def test_allow_rule_extends_model_mask(self):
         rules = C.RuleStore()
@@ -210,18 +209,18 @@ def oracle_apply(mask, rule_list, subject, resource_id):
 class TestPriorityRules:
     def test_empty_store_is_identity(self):
         mask = (True, False, True, False)
-        assert C.apply_priority_rules(mask, C.RuleStore(), "s", 1) == mask
+        assert C.apply_rule(mask, C.RuleStore().first_match("s", 1)) == mask
 
     def test_banned_user_all_false(self):
         rules = C.RuleStore()
         C.register_ban(rules, "victim-hash")
         for mask in itertools.product((False, True), repeat=4):
-            assert C.apply_priority_rules(mask, rules, "victim-hash", 3) == (False,) * 4
+            assert C.apply_rule(mask, rules.first_match("victim-hash", 3)) == (False,) * 4
 
     def test_allow_rule_gains_operation(self):
         rules = C.RuleStore()
         rules.add(C.PriorityRule(0, "s", "3", (False, False, True, False), C.ALLOW))
-        got = C.apply_priority_rules((True, False, False, False), rules, "s", 3)
+        got = C.apply_rule((True, False, False, False), rules.first_match("s", 3))
         assert got == (True, False, True, False)
 
     def test_first_match_wins_against_brute_force(self):
@@ -246,7 +245,7 @@ class TestPriorityRules:
             mask = tuple(rng.random() < 0.5 for _ in range(4))
             subject = rng.choice(["alpha", "beta", "gamma"])
             resource_id = rng.choice([1, 2, 3])
-            assert C.apply_priority_rules(mask, store, subject, resource_id) == \
+            assert C.apply_rule(mask, store.first_match(subject, resource_id)) == \
                 oracle_apply(mask, rule_list, subject, resource_id)
 
     def test_duplicate_ordinals_rejected(self):

@@ -432,11 +432,17 @@ class TestCryptoCounts:
             assert H.run_request(world, *case).verdict == verdict
             assert crypto._ed25519_verdict.cache_info().misses - misses == expected, verdict
 
-    @pytest.mark.parametrize("batch_size", [ledger.DEFAULT_BATCH_SIZE, 7])
-    def test_setup_block_reverified_from_the_cache(self, monkeypatch, batch_size):
-        # one full block of setup transactions, or a backlog mined over
-        # many blocks: block validation checks each one again, and the
-        # verdict cache answers every re-check
+    @pytest.mark.parametrize(
+        "n_users, batch_size",
+        [(ledger.DEFAULT_BATCH_SIZE, ledger.DEFAULT_BATCH_SIZE), (ledger.DEFAULT_BATCH_SIZE, 7),
+         (200, ledger.DEFAULT_BATCH_SIZE)],
+        ids=["100", "7", "200-users"],
+    )
+    def test_setup_block_reverified_from_the_cache(self, monkeypatch, n_users, batch_size):
+        # one full block of setup transactions, a backlog mined over many
+        # blocks, or more users than the cache holds: each full batch is
+        # mined as soon as it is admitted, block validation checks each
+        # transaction again, and the verdict cache answers every re-check
         verified: Counter[bytes] = Counter()
         inner = crypto.verify_sig
 
@@ -446,11 +452,9 @@ class TestCryptoCounts:
 
         monkeypatch.setattr(crypto, "verify_sig", counted)
         crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
-        world = H.setup_world(
-            3, ledger.DEFAULT_BATCH_SIZE, 5, seed=0, config=Config(batch_size=batch_size)
-        )
+        world = H.setup_world(3, n_users, 2, seed=0, config=Config(batch_size=batch_size))
         setup_sigs = [tx.sig for block in world.chain.blocks for tx in block.transactions]
-        assert len(setup_sigs) == ledger.DEFAULT_BATCH_SIZE
+        assert len(setup_sigs) == n_users
         assert max(len(block.transactions) for block in world.chain.blocks) == batch_size
         assert all(verified[sig] == 2 for sig in setup_sigs)  # admission, block validation
         assert crypto._ed25519_verdict.cache_info().misses == len(verified)

@@ -23,11 +23,9 @@ def kp(tag: str) -> crypto.KeyPair:
 STORAGE_KEYS = kp("storage")
 USER = kp("link-user")
 NOW = 1_700_000_000
-ATTRS = (0, 1, 2, 3, 4, 5, 6, 7)
 
 GRANT_READ = AccessList(
     grants=(True, False, False, False),
-    scores=(0.99, 0.01, 0.01, 0.01),
     rule=None,
     requested="read",
 )
@@ -36,7 +34,7 @@ GRANT_READ = AccessList(
 def make_node(with_resource: bool = True) -> S.StorageNode:
     node = S.StorageNode(STORAGE_KEYS)
     if with_resource:
-        node.put_resource(S.Resource(id=5, metadata=ATTRS, content=b"contents-5"))
+        node.put_resource(S.Resource(id=5, content=b"contents-5"))
     return node
 
 
@@ -59,13 +57,13 @@ class TestResources:
     def test_duplicate_id_rejected(self):
         node = make_node()
         with pytest.raises(ValueError):
-            node.put_resource(S.Resource(id=5, metadata=ATTRS, content=b"x"))
+            node.put_resource(S.Resource(id=5, content=b"x"))
 
     def test_ids_independent_of_insertion_order(self):
         a = S.StorageNode(STORAGE_KEYS)
         b = S.StorageNode(STORAGE_KEYS)
-        r1 = S.Resource(id=1, metadata=ATTRS, content=b"one")
-        r2 = S.Resource(id=2, metadata=ATTRS, content=b"two")
+        r1 = S.Resource(id=1, content=b"one")
+        r2 = S.Resource(id=2, content=b"two")
         a.put_resource(r1), a.put_resource(r2)
         b.put_resource(r2), b.put_resource(r1)
         assert a.get_resource(1).content == b.get_resource(1).content
@@ -125,7 +123,6 @@ class TestIssueLink:
         node = make_node()
         ungranted = AccessList(
             grants=(False, True, True, True),
-            scores=(0.2, 0.9, 0.9, 0.9),
             rule=None,
             requested="read",
         )
