@@ -20,6 +20,8 @@ serialized by the caller through the single ledger writer.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
@@ -82,10 +84,13 @@ class VerifiedPayload:
     operation: str
 
     def to_tx(self) -> VerifiedTx:
+        """The hand-off as a transaction; its bit strings are interned, so
+        every transaction for one user, or for one resource and operation,
+        shares one string."""
         return VerifiedTx(
             timestamp=self.timestamp,
-            user_bits="".join(str(b) for b in self.user_bits),
-            request_bits="".join(str(b) for b in self.request_bits),
+            user_bits=sys.intern("".join(str(b) for b in self.user_bits)),
+            request_bits=sys.intern("".join(str(b) for b in self.request_bits)),
             user_pk=self.user_pk,
         )
 
@@ -252,14 +257,21 @@ def authenticate(
     )
 
 
+# every grant mask, each held once, so the links and log records that keep
+# a mask share one of these tuples
+_MASKS = {mask: mask for mask in itertools.product((False, True), repeat=N_OPERATIONS)}
+
+
 def apply_rule(mask: tuple[bool, ...], rule: PriorityRule | None) -> tuple[bool, ...]:
     """``mask`` filtered by the first matching rule: DENY clears the
-    operations it names, ALLOW sets them; no match leaves the mask as is."""
-    if rule is None:
-        return tuple(mask)
-    if rule.effect == DENY:
-        return tuple(m and not r for m, r in zip(mask, rule.operations))
-    return tuple(m or r for m, r in zip(mask, rule.operations))
+    operations it names, ALLOW sets them; no match leaves the mask as is.
+    The result is one of the shared mask tuples."""
+    if rule is not None:
+        if rule.effect == DENY:
+            mask = tuple(m and not r for m, r in zip(mask, rule.operations))
+        else:
+            mask = tuple(m or r for m, r in zip(mask, rule.operations))
+    return _MASKS[tuple(mask)]
 
 
 def authorize(

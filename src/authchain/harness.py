@@ -661,7 +661,7 @@ def load_contract_state(path) -> dict:
     it is one canonical line (as :func:`save_world_artifacts` writes it)
     holding an object whose log root is present and a lower-case string
     and whose root history is a list of ``{"root": str, "height": int}``
-    entries."""
+    entries, each root lower-case too."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -686,4 +686,6 @@ def load_contract_state(path) -> dict:
         for h in history
     ):
         raise FormatError(f"state file: malformed {STATE_ROOT_HISTORY_KEY}")
+    if any(h["root"] != h["root"].lower() for h in history):
+        raise FormatError(f"state file: a {STATE_ROOT_HISTORY_KEY} root is not lower-case hex")
     return state

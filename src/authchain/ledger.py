@@ -25,7 +25,7 @@ by their owners (the rule store and the storage node's log).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, ClassVar, Union
 
 import orjson
@@ -77,9 +77,11 @@ def _ints(value: Any):
             yield from _ints(item)
 
 
+@lru_cache(maxsize=crypto.KEY_CACHE_SIZE)
 def subject_id(public_key: bytes) -> str:
     """A user's subject id, as rules, bans and log records name it: the
-    hash of the public key, hex."""
+    hash of the public key, hex.  Cached per key, so the records and ban
+    entries that name one user share one string."""
     return crypto.hash_bytes(public_key).hex()
 
 
@@ -127,7 +129,7 @@ def merkle_root(digests: list[bytes]) -> bytes:
 # Transactions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetupTx:
     """Registration of a user by the admin (carries the user's metadata)."""
 
@@ -149,7 +151,7 @@ class SetupTx:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccReqTx:
     """A user's request to perform one operation on one resource.
 
@@ -176,7 +178,7 @@ class AccReqTx:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkTx:
     """Encrypted access link issued by storage for one granted request.
 
@@ -201,7 +203,7 @@ class LinkTx:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StorageTx:
     """Storage's log of a completed access (one per redeemed link)."""
 
@@ -221,7 +223,7 @@ class StorageTx:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifiedTx:
     """Unsigned hand-off from authentication to authorization.
 
@@ -360,7 +362,7 @@ def make_storage(
 # Blocks and the chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     prev_hash: bytes
@@ -669,8 +671,9 @@ def produce_block(
 def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
     """Full structural check of a candidate for the chain's next height,
     a pure function of the chain and the block; every transaction must
-    meet :func:`check_tx`.  ``verify`` checks each signature, as in
-    :func:`check_tx`."""
+    meet :func:`check_tx`, and no access request may carry a nonce that
+    is already on the chain or repeats within the block.  ``verify``
+    checks each signature, as in :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return False
@@ -700,6 +703,9 @@ def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = N
         if block.proposer != validators.scheduled(block.height):
             return False
     if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
+        return False
+    nonces = [tx.nonce for tx in block.transactions if isinstance(tx, AccReqTx)]
+    if len(set(nonces)) != len(nonces) or any(chain.nonce_seen(n) for n in nonces):
         return False
     if not verify(block.proposer, signing_bytes(block), block.sig):
         return False

@@ -357,7 +357,7 @@ class HiddenRuleSet:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessTuple:
     user_id: int
     user_attrs: tuple[int, ...]

@@ -61,7 +61,7 @@ class Resource:
     content: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessLink:
     token: bytes
     resource_id: int
@@ -72,7 +72,7 @@ class AccessLink:
     redeemed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaliciousRecord:
     """One denied request: the offending bytes, the verdict, bookkeeping."""
 
@@ -158,7 +158,7 @@ class MaliciousLog:
     def __init__(self) -> None:
         self.records: list[MaliciousRecord] = []
         self.root: bytes = ZERO_DIGEST
-        self.history: list[dict] = []  # running root after each rolled group
+        self._roots: list[tuple[int, bytes]] = []  # (height, running root) per rolled group
         self._rolled = 0  # records[:_rolled] are in a group, the rest pending
         # subject -> sorted wall times of its BAN_COUNTED_REASONS records
         self._ban_times: dict[str, list[int]] = {}
@@ -198,19 +198,22 @@ class MaliciousLog:
         pending = self.pending()
         if not pending:
             return self.root
-        group = len(self.history)
+        group = len(self._roots)
         rolled = [replace(r, group_index=group) for r in pending]
         self.records[self._rolled:] = rolled
         self._rolled = len(self.records)
         self.root = roll_root(self.root, rolled, group_output_bytes(rolled))
-        self.history.append(
-            {
-                "group": group,
-                "height": max(r.block_height for r in rolled),
-                "root": self.root.hex(),
-            }
-        )
+        self._roots.append((max(r.block_height for r in rolled), self.root))
         return self.root
+
+    @property
+    def history(self) -> list[dict]:
+        """The running root after each rolled group, as the state sidecar
+        holds it: ``{"group", "height", "root"}`` per group, root in hex."""
+        return [
+            {"group": group, "height": height, "root": root.hex()}
+            for group, (height, root) in enumerate(self._roots)
+        ]
 
 
 @dataclass(frozen=True)
@@ -434,9 +437,6 @@ class StorageNode:
         recorded in the malicious-activity log.
         """
         with self._lock:
-            attempt_bytes = canonical_bytes(
-                {"redeem": {"token": token.hex(), "nonce": nonce.hex(), "time": now}}
-            )
             link = self.links.get(token)
             if link is None:
                 denial = Denial(DenialReason.WRONG_RESOURCE, "unknown access token")
@@ -454,12 +454,17 @@ class StorageNode:
                 denial = None
             if denial is not None:
                 self.record_malicious(
-                    attempt_bytes, denial.reason, denial.mask, subject, block_height, now
+                    canonical_bytes(
+                        {"redeem": {"token": token.hex(), "nonce": nonce.hex(), "time": now}}
+                    ),
+                    denial.reason, denial.mask, subject, block_height, now,
                 )
                 return denial
             link.redeemed = True
             content = self.resources[link.resource_id].content
-            return content, make_storage(self.keypair, nonce, link.user_pk, now)
+            # signed over the link's own nonce (equal to ``nonce`` here), so
+            # the storage transaction and the link share one bytes object
+            return content, make_storage(self.keypair, link.nonce, link.user_pk, now)
 
     # -- persistence -----------------------------------------------------------
 

@@ -259,11 +259,14 @@ class TestWorldCommands:
             {"malicious_root": "0" * 64, "malicious_roots": [{"height": 3}]},
             {"malicious_root": "0" * 64, "malicious_roots": [{"root": "00"}]},
             {"malicious_root": "AB" * 32},
+            {"malicious_root": "0" * 64,
+             "malicious_roots": [{"group": 0, "height": 3, "root": "AB" * 32}]},
             # the empty log's own root, re-encoded
             json.dumps({"malicious_root": "0" * 64, "malicious_roots": []}, indent=2).encode(),
         ],
         ids=["list", "no-root", "numeric-root", "history-without-root",
-             "history-without-height", "upper-case-root", "indented"],
+             "history-without-height", "upper-case-root", "upper-case-history-root",
+             "indented"],
     )
     def test_verify_log_malformed_state_unreadable(self, tmp_path, capsys, state):
         log_file = tmp_path / "log.jsonl"

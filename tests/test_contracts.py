@@ -217,6 +217,16 @@ class TestPriorityRules:
         for mask in itertools.product((False, True), repeat=4):
             assert C.apply_rule(mask, rules.first_match("victim-hash", 3)) == (False,) * 4
 
+    def test_equal_masks_are_one_object(self):
+        allow_nothing = C.PriorityRule(0, "s", "*", (False,) * 4, C.ALLOW)
+        deny_nothing = C.PriorityRule(0, "s", "*", (False,) * 4, C.DENY)
+        for mask in itertools.product((False, True), repeat=4):
+            shared = C.apply_rule(mask, None)
+            assert shared == mask
+            assert C.apply_rule(list(mask), None) is shared
+            assert C.apply_rule(mask, allow_nothing) is shared
+            assert C.apply_rule(mask, deny_nothing) is shared
+
     def test_allow_rule_gains_operation(self):
         rules = C.RuleStore()
         rules.add(C.PriorityRule(0, "s", "3", (False, False, True, False), C.ALLOW))

@@ -189,6 +189,84 @@ class TestRunRequest:
         assert record.tx_bytes == ledger.tx_canonical_bytes(tx)
 
 
+class TestResidentMemory:
+    """What requests leave behind: slotted records and one object per
+    repeated value."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        world = build_small_world(seed=3)
+        case = H.find_case(world, want_grant=True)
+        grants = [H.run_request(world, *case) for _ in range(2)]
+        assert all(outcome.allowed for outcome in grants)
+        H.run_request(world, 0, 424242, "read")  # a denial, so the log holds a record
+        return world, grants
+
+    def test_records_carry_no_instance_dict(self, served):
+        world, _ = served
+        kept = [
+            *world.chain.blocks,
+            *(tx for block in world.chain.blocks for tx in block.transactions),
+            *world.storage_node.links.values(),
+            *world.storage_node.log.records,
+            *world.dataset.tuples,
+        ]
+        assert {type(obj).__name__ for obj in kept} == {
+            "Block", "SetupTx", "AccReqTx", "VerifiedTx", "LinkTx", "StorageTx",
+            "AccessLink", "MaliciousRecord", "AccessTuple",
+        }
+        assert [type(obj).__name__ for obj in kept if hasattr(obj, "__dict__")] == []
+
+    def test_grants_for_one_user_share_their_bit_strings(self, served):
+        world, grants = served
+        # a grant mines its verified hand-off with its link, in its second block
+        first, second = (
+            next(
+                tx for tx in world.chain.blocks[outcome.heights[1]].transactions
+                if isinstance(tx, ledger.VerifiedTx)
+            )
+            for outcome in grants
+        )
+        assert first.user_bits is second.user_bits
+        assert first.request_bits is second.request_bits
+
+    def test_storage_tx_shares_its_link_nonce(self, served):
+        world, grants = served
+        links = {link.nonce: link for link in world.storage_node.links.values()}
+        for outcome in grants:
+            (storage_tx,) = world.chain.blocks[outcome.heights[2]].transactions
+            assert storage_tx.nonce is links[storage_tx.nonce].nonce
+
+    def test_records_and_the_ban_share_one_subject_string(self):
+        world = build_small_world(seed=3)
+        for _ in range(world.config.ban_threshold):
+            H.run_request(world, 0, 424242, "read")
+        (banned,) = world.rules.banned
+        assert banned == ledger.subject_id(world.users[0].public_key)
+        assert all(r.subject_hash is banned for r in world.storage_node.log.records)
+
+    def test_root_history_of_a_fixed_run(self):
+        world = build_small_world(seed=3)
+        for case in [
+            (0, 424242, "read"),
+            (len(world.users) + 1, 0, "read"),
+            H.find_case(world, want_grant=False),
+            H.find_case(world, want_grant=True),
+            (0, 424242, "write"),
+        ]:
+            H.run_request(world, *case)
+        assert world.storage_node.log.history == [
+            {"group": 0, "height": 4,
+             "root": "b302488f79dbfa41480250aac588a1c6c42b0349d89dc1f824df3c1c33a5968d"},
+            {"group": 1, "height": 5,
+             "root": "879150fe519ce8566f0f730da37448f3ac61d40157764ca263e6428c155402b4"},
+            {"group": 2, "height": 7,
+             "root": "1054c08ffe973402e6a1c99082f305f359a44def5fcf92f3e6b23473ee81b466"},
+            {"group": 3, "height": 12,
+             "root": "4a155958d2b66887ed1c4d7847b349ebf14fced99a2c85ca2926daeff836ce01"},
+        ]
+
+
 class TestFindCase:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(

@@ -453,6 +453,60 @@ class TestChainState:
         assert not ledger.validate_chain(swapped)
 
 
+def block_at_tip(
+    chain: ledger.Chain, transactions, now: int = 1_700_000_000, proposer=None
+) -> ledger.Block:
+    """A block of ``transactions`` for the chain's next height, signed by
+    ``proposer`` (by default the scheduled one of ``VALIDATORS``), as a
+    dishonest proposer would build it."""
+    proposer = proposer or scheduled(chain)
+    return ledger.signed(
+        ledger.Block(
+            height=chain.height,
+            prev_hash=chain.tip_hash(),
+            tx_root=ledger.merkle_root([ledger.tx_digest(t) for t in transactions]),
+            transactions=tuple(transactions),
+            timestamp=now,
+            proposer=proposer.public_key,
+        ),
+        proposer,
+    )
+
+
+class TestNonceReplayInBlocks:
+    def test_block_replaying_a_mined_request_invalid(self):
+        chain, _ = build_chain_with_users(n_blocks=3)
+        (mined,) = chain.blocks[2].transactions
+        block = block_at_tip(chain, [mined])
+        assert not ledger.validate_block(chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, block)
+        assert chain.height == 3
+
+    def test_nonce_repeated_within_a_block_invalid(self):
+        chain, _ = build_chain_with_users(n_blocks=2)
+        now = 1_700_000_000
+        nonce = bytes([7]) * 16
+        request = ledger.make_accreq(USERS[1], 1, "read", nonce, now)
+        other = ledger.make_accreq(USERS[2], 2, "write", nonce, now)
+        assert ledger.validate_block(chain, block_at_tip(chain, [request]))
+        assert not ledger.validate_block(chain, block_at_tip(chain, [request, request]))
+        assert not ledger.validate_block(chain, block_at_tip(chain, [request, other]))
+
+    def test_chain_replaying_a_granted_request_invalid(self, served_world):
+        world = served_world
+        mined = next(
+            tx for block in world.chain.blocks for tx in block.transactions
+            if isinstance(tx, ledger.AccReqTx)
+        )
+        replayed = block_at_tip(world.chain, [mined], world.now(), world.scheduled_proposer())
+        blocks = [*world.chain.blocks, replayed]
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks))
+        with pytest.raises(FormatError):
+            ledger.Chain.replay(blocks)
+        assert ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks[:-1]))
+
+
 class TestTipHashCache:
     def assert_coherent(self, chain):
         assert chain.tip_hash() == ledger.block_hash(chain.blocks[-1])
