@@ -1,9 +1,14 @@
 """Cryptographic primitives used by every other module.
 
 Hashing is SHA-256.  Signatures are Ed25519 (32-byte verify keys, 64-byte
-signatures).  Asymmetric encryption is a hybrid construction: an ephemeral
-X25519 exchange feeding HKDF-SHA256 into ChaCha20-Poly1305, so ciphertexts
-are randomized and decryption failures are detected by the AEAD tag.
+signatures), signed and verified by the libsodium system library
+(``libsodium.so.23``), which this module loads once at import; without it
+the import fails.  Its verifier is strict: besides a signature whose S is
+not below the group order, it refuses small-order and non-canonical public
+keys and a small-order R, so no key verifies a signature for every message.
+Asymmetric encryption is a hybrid construction: an ephemeral X25519
+exchange feeding HKDF-SHA256 into ChaCha20-Poly1305, so ciphertexts are
+randomized and decryption failures are detected by the AEAD tag.
 
 A key pair bundles both capabilities: ``public_key`` is the 32-byte Ed25519
 verify key followed by the 32-byte X25519 encryption key; ``secret_key`` is
@@ -12,9 +17,10 @@ deterministically from one 32-byte seed, so worlds rebuilt from the same
 seed carry identical identities.
 
 Every operation is pure or draws from an explicitly injected
-:class:`RandomSource`; there is no hidden global randomness.  Parsed key
-objects are kept in bounded per-process caches (``KEY_CACHE_SIZE`` entries
-each), so signing, verifying and decrypting with a known key skip the parse.
+:class:`RandomSource`; there is no hidden global randomness.  Expanded
+signing keys and parsed X25519 keys are kept in bounded per-process caches
+(``KEY_CACHE_SIZE`` entries each), so signing and decrypting with a known
+key skip the derivation.
 :func:`verify_sig` keeps the verdicts of the last ``VERIFY_CACHE_SIZE``
 distinct ``(public_key, message, signature)`` triples, so a signature
 checked twice on one request's path, or at admission and again when its
@@ -28,6 +34,7 @@ for the call.
 from __future__ import annotations
 
 import collections
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -36,12 +43,8 @@ import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -57,7 +60,7 @@ SEED_SIZE = 32
 PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
-KEY_CACHE_SIZE = 4096  # parsed keys held per cache
+KEY_CACHE_SIZE = 4096  # expanded or parsed keys held per cache
 # signature verdicts held, keyed by the exact triple; at least
 # ledger.DEFAULT_BATCH_SIZE, so validating a full block of just-admitted
 # transactions re-checks every signature from the cache
@@ -69,6 +72,41 @@ PARALLEL_CHUNK_SIGNATURES = 512  # signatures per task sent to a worker
 
 _ZERO_AEAD_NONCE = b"\x00" * 12  # fresh key per message, so a fixed nonce is safe
 _ECIES_INFO = b"authchain/ecies/v1"
+
+_SODIUM = "libsodium.so.23"
+
+
+def _load_sodium() -> ctypes.CDLL:
+    """The initialised libsodium, its Ed25519 calls typed.  Loaded by soname
+    (``ctypes.util.find_library`` would run ``ldconfig`` in a subprocess),
+    and with no fallback: whether a signature is valid must not depend on
+    which library was found."""
+    try:
+        lib = ctypes.CDLL(_SODIUM)
+    except OSError as exc:
+        raise ImportError(
+            f"authchain.crypto needs the libsodium system library ({_SODIUM}; "
+            f"Debian package libsodium23): {exc}"
+        ) from exc
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    for name, argtypes in (
+        ("sodium_init", ()),  # 0 once initialised, 1 if it already was, -1 on failure
+        # (pk[32] out, sk[64] out, seed[32])
+        ("crypto_sign_seed_keypair", (buf, buf, buf)),
+        # (sig[64] out, siglen out or NULL, message, length, sk[64])
+        ("crypto_sign_detached", (buf, ctypes.c_void_p, buf, size, buf)),
+        # (sig[64], message, length, pk[32]); 0 iff valid
+        ("crypto_sign_verify_detached", (buf, buf, size, buf)),
+    ):
+        func = getattr(lib, name)
+        func.argtypes = argtypes
+        func.restype = ctypes.c_int
+    if lib.sodium_init() < 0:
+        raise ImportError(f"{_SODIUM} failed to initialise")
+    return lib
+
+
+_sodium = _load_sodium()
 
 
 def hash_bytes(message: bytes) -> bytes:
@@ -127,7 +165,7 @@ class KeyPair:
             raise ValueError(f"secret key must be {SECRET_KEY_SIZE} bytes")
 
 
-def _raw_public(key: Ed25519PublicKey | X25519PublicKey) -> bytes:
+def _raw_public(key: X25519PublicKey) -> bytes:
     return key.public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
@@ -139,19 +177,17 @@ def keygen(seed: bytes) -> KeyPair:
         raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
     sign_seed = hashlib.sha256(seed + b"/sig").digest()
     enc_seed = hashlib.sha256(seed + b"/enc").digest()
-    sign_pk = _raw_public(Ed25519PrivateKey.from_private_bytes(sign_seed).public_key())
+    sign_pk = _signing_key(sign_seed)[32:]
     enc_pk = _raw_public(X25519PrivateKey.from_private_bytes(enc_seed).public_key())
     return KeyPair(public_key=sign_pk + enc_pk, secret_key=sign_seed + enc_seed)
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _signing_key(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
-
-
-@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _verify_key(raw: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(raw)
+def _signing_key(seed: bytes) -> bytes:
+    """libsodium's 64-byte Ed25519 secret key: the seed, then the public key."""
+    public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_seed_keypair(public, secret, seed)
+    return secret.raw
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)
@@ -165,7 +201,9 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
     """Ed25519 signature over the message bytes."""
     if len(secret_key) != SECRET_KEY_SIZE:
         raise ValueError("malformed secret key")
-    return _signing_key(secret_key[:32]).sign(message)
+    sig = ctypes.create_string_buffer(SIGNATURE_SIZE)
+    _sodium.crypto_sign_detached(sig, None, message, len(message), _signing_key(secret_key[:32]))
+    return sig.raw
 
 
 def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -180,11 +218,7 @@ def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
 @functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)
 def _ed25519_verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
     # a pure function of the exact bytes, so a cached verdict is the verdict
-    try:
-        _verify_key(public_key[:32]).verify(signature, message)
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    return _sodium.crypto_sign_verify_detached(signature, message, len(message), public_key[:32]) == 0
 
 
 def verify_all(checks: Iterable[tuple[bytes, bytes, bytes]]) -> bool:

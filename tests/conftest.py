@@ -9,6 +9,12 @@ from authchain.harness import World, setup_world
 
 SMALL = dict(n_validators=3, n_users=10, n_resources=10, seed=42)
 
+# The Ed25519 identity point as a verify key, and R = identity with S = 0:
+# [S]B = R + [k]A holds for every message's k, so a verifier that accepts
+# small-order keys takes this signature for any message.
+IDENTITY_KEY = (1).to_bytes(32, "little")
+UNIVERSAL_SIG = IDENTITY_KEY + bytes(32)
+
 
 def build_small_world(seed: int = 42, **overrides) -> World:
     params = dict(SMALL)

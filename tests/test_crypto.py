@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from authchain import crypto
 from authchain.errors import DecryptError
+from conftest import IDENTITY_KEY, UNIVERSAL_SIG
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +170,139 @@ class TestKeyCaches:
             assert crypto.sign(pair.secret_key, message) == expected
 
     def test_caches_bounded_by_module_constant(self):
-        for cache in (crypto._signing_key, crypto._verify_key, crypto._decrypt_key):
+        for cache in (crypto._signing_key, crypto._decrypt_key):
             assert cache.cache_info().maxsize == crypto.KEY_CACHE_SIZE
+
+
+# Edwards25519 constants: the field prime, the group order, and the y of the
+# order-8 points.  The small-order points have y in {0, 1, -1, Y8, -Y8}.
+P = 2**255 - 19
+L = 2**252 + 27742317777372353535851937790883648493
+Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+SMALL_ORDER_Y = frozenset({0, 1, P - 1, Y8, P - Y8})
+
+NONCANONICAL_IDENTITY = (P + 1).to_bytes(32, "little")
+ORDER_2 = (P - 1).to_bytes(32, "little")
+
+
+def _y(encoding: bytes) -> int:
+    return int.from_bytes(encoding, "little") & (2**255 - 1)
+
+
+def strict_case(ed25519_pk: bytes, signature: bytes) -> bool:
+    """Inputs the libsodium rule refuses outright: a non-canonical or
+    small-order key, a small-order R, or S not below the group order."""
+    return (
+        _y(ed25519_pk) >= P
+        or _y(ed25519_pk) in SMALL_ORDER_Y
+        or _y(signature[:32]) in SMALL_ORDER_Y
+        or int.from_bytes(signature[32:], "little") >= L
+    )
+
+
+def reference_verdict(ed25519_pk: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(ed25519_pk).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+def flip(blob: bytes, position: int, delta: int) -> bytes:
+    i = position % len(blob)
+    return blob[:i] + bytes([blob[i] ^ delta]) + blob[i + 1 :]
+
+
+class TestAgainstReference:
+    """libsodium against cryptography's Ed25519 (OpenSSL), the reference."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.binary(min_size=32, max_size=32),
+        message=st.binary(max_size=300),
+        position=st.integers(0, 2**16),
+        delta=st.integers(1, 255),
+    )
+    @example(seed=bytes(32), message=b"", position=0, delta=1)
+    @example(seed=b"\xff" * 32, message=b"\x00" * 7, position=3, delta=0x80)
+    @example(seed=bytes(range(32)), message=b"a\x00b\x00", position=1, delta=0x40)
+    def test_keys_signatures_and_verdicts_agree(self, seed, message, position, delta):
+        pair = crypto.keygen(seed)
+        ed_pk, enc_pk = pair.public_key[:32], pair.public_key[32:]
+        reference = Ed25519PrivateKey.from_private_bytes(pair.secret_key[:32])
+        assert ed_pk == reference.public_key().public_bytes(
+            serialization.Encoding.Raw, serialization.PublicFormat.Raw
+        )
+        sig = crypto.sign(pair.secret_key, message)
+        assert sig == reference.sign(message)
+
+        cases = [
+            (ed_pk, message, sig),
+            (ed_pk, message, flip(sig, position, delta)),
+            (flip(ed_pk, position, delta), message, sig),
+        ]
+        if message:
+            cases.append((ed_pk, flip(message, position, delta), sig))
+        for key, msg, signature in cases:
+            if strict_case(key, signature):
+                continue
+            expected = reference_verdict(key, msg, signature)
+            assert crypto.verify_sig(key + enc_pk, msg, signature) == expected
+
+
+class TestStrictRule:
+    """The cases where libsodium refuses what OpenSSL's Ed25519 accepts."""
+
+    ENC_HALF = crypto.keygen(b"s" * 32).public_key[32:]
+    MESSAGES = [bytes([i]) * i for i in range(16)]
+
+    def test_s_plus_group_order_refused(self):
+        pair = crypto.keygen(b"s" * 32)
+        sig = crypto.sign(pair.secret_key, b"message")
+        s_plus_l = (int.from_bytes(sig[32:], "little") + L).to_bytes(32, "little")
+        assert crypto.verify_sig(pair.public_key, b"message", sig)
+        assert not crypto.verify_sig(pair.public_key, b"message", sig[:32] + s_plus_l)
+
+    @pytest.mark.parametrize(
+        "ed_pk",
+        [IDENTITY_KEY, NONCANONICAL_IDENTITY, ORDER_2],
+        ids=["identity", "non-canonical-identity", "order-2"],
+    )
+    def test_small_order_key_verifies_nothing(self, ed_pk):
+        # the parent's OpenSSL verifier accepted every message under the
+        # identity keys and about half of them under the order-2 key
+        for message in self.MESSAGES:
+            assert not crypto.verify_sig(ed_pk + self.ENC_HALF, message, UNIVERSAL_SIG)
+
+
+class TestMissingLibrary:
+    def test_import_names_the_library(self):
+        child = textwrap.dedent(
+            """
+            import ctypes
+            real = ctypes.CDLL
+
+            def cdll(name, *args, **kwargs):
+                if "sodium" in str(name):
+                    raise OSError(f"{name}: cannot open shared object file")
+                return real(name, *args, **kwargs)
+
+            ctypes.CDLL = cdll
+            try:
+                import authchain.crypto
+            except ImportError as exc:
+                print(exc)
+            else:
+                print("imported")
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "libsodium.so.23" in done.stdout
+        assert "imported" not in done.stdout
 
 
 class TestVerifyCache:

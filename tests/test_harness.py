@@ -7,16 +7,17 @@ import random
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger, storage as S
 from authchain.config import Config
-from authchain.contracts import DENY, PriorityRule, register_ban
+from authchain.contracts import DENY, DenialReason, PriorityRule, register_ban
 from authchain.errors import ConfigError
 from authchain.model import OPERATIONS
-from conftest import build_small_world
+from conftest import IDENTITY_KEY, UNIVERSAL_SIG, build_small_world
 
 
 def granting_cases(world, count: int):
@@ -369,6 +370,25 @@ class TestTamper:
         seen = probe_lock_during(monkeypatch, world, world.storage_node, "roll_log")
         assert H.tamper(world, "reuse-link").caught
         assert seen and not any(seen)
+
+
+class TestSmallOrderKeyForgery:
+    def test_forged_request_refused_and_logged_once(self):
+        world = H.setup_world(3, 12, 6, seed=0)
+        forged_pk = IDENTITY_KEY + world.users[0].public_key[32:]
+        request = replace(
+            ledger.AccReqTx(forged_pk, world.now(), 0, "read", bytes(16)), sig=UNIVERSAL_SIG
+        )
+        log, height = world.storage_node.log, world.chain.height
+        logged = len(log)
+        denial = H._admit(world, ledger.subject_id(forged_pk), request)
+        assert denial is not None
+        assert (denial.reason, denial.detail) == (DenialReason.UNAUTHENTICATED, "bad-signature")
+        assert [(r.reason, r.tx_bytes) for r in log.records[logged:]] == [
+            ("unauthenticated", ledger.tx_canonical_bytes(request))
+        ]
+        assert len(world.mempool) == 0
+        assert world.chain.height == height
 
 
 class TestBanPathway:

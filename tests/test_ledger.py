@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger
 from authchain.errors import ConfigError, FormatError, ScheduleError
-from conftest import build_small_world
+from conftest import IDENTITY_KEY, UNIVERSAL_SIG, build_small_world
 
 
 def kp(tag: str) -> crypto.KeyPair:
@@ -505,6 +505,21 @@ class TestNonceReplayInBlocks:
         with pytest.raises(FormatError):
             ledger.Chain.replay(blocks)
         assert ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks[:-1]))
+
+
+class TestSmallOrderKeyForgery:
+    def test_block_carrying_a_forged_request_invalid(self):
+        chain, _ = build_chain_with_users(n_blocks=2)
+        forged = replace(
+            ledger.AccReqTx(IDENTITY_KEY + USERS[0].public_key[32:], 1_700_000_000, 1, "read", bytes([9]) * 16),
+            sig=UNIVERSAL_SIG,
+        )
+        block = block_at_tip(chain, [forged])
+        assert not ledger.validate_block(chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, block)
+        assert chain.height == 2
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
 
 
 class TestTipHashCache:
