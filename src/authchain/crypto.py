@@ -1,14 +1,18 @@
 """Cryptographic primitives used by every other module.
 
-Hashing is SHA-256.  Signatures are Ed25519 (32-byte verify keys, 64-byte
-signatures), signed and verified by the libsodium system library
-(``libsodium.so.23``), which this module loads once at import; without it
-the import fails.  Its verifier is strict: besides a signature whose S is
-not below the group order, it refuses small-order and non-canonical public
-keys and a small-order R, so no key verifies a signature for every message.
+Hashing is SHA-256.  Every public-key operation runs in the libsodium
+system library (``libsodium.so.23``), which this module loads once at
+import through ``ctypes``; without it the import fails.  Signatures are
+Ed25519 (32-byte verify keys, 64-byte signatures).  Its verifier is
+strict: besides a signature whose S is not below the group order, it
+refuses small-order and non-canonical public keys and a small-order R, so
+no key verifies a signature for every message.
 Asymmetric encryption is a hybrid construction: an ephemeral X25519
-exchange feeding HKDF-SHA256 into ChaCha20-Poly1305, so ciphertexts are
-randomized and decryption failures are detected by the AEAD tag.
+exchange (RFC 7748) feeding HKDF-SHA256 (RFC 5869, from the standard
+library's ``hmac``) into ChaCha20-Poly1305 (RFC 8439), so ciphertexts are
+randomized and decryption failures are detected by the AEAD tag.  A
+small-order ephemeral key fails decryption, since libsodium refuses the
+exchange.
 
 A key pair bundles both capabilities: ``public_key`` is the 32-byte Ed25519
 verify key followed by the 32-byte X25519 encryption key; ``secret_key`` is
@@ -18,9 +22,9 @@ seed carry identical identities.
 
 Every operation is pure or draws from an explicitly injected
 :class:`RandomSource`; there is no hidden global randomness.  Expanded
-signing keys and parsed X25519 keys are kept in bounded per-process caches
-(``KEY_CACHE_SIZE`` entries each), so signing and decrypting with a known
-key skip the derivation.
+signing keys and the X25519 public keys of known seeds are kept in
+bounded per-process caches (``KEY_CACHE_SIZE`` entries each), so signing
+and decrypting with a known key skip the derivation.
 :func:`verify_sig` keeps the verdicts of the last ``VERIFY_CACHE_SIZE``
 distinct ``(public_key, message, signature)`` triples, so a signature
 checked twice on one request's path, or at admission and again when its
@@ -37,20 +41,12 @@ import collections
 import ctypes
 import functools
 import hashlib
+import hmac
 import itertools
 import os
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import DecryptError
 
@@ -60,7 +56,7 @@ SEED_SIZE = 32
 PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
-KEY_CACHE_SIZE = 4096  # expanded or parsed keys held per cache
+KEY_CACHE_SIZE = 4096  # keys held per derived-key cache (signing, X25519 public)
 # signature verdicts held, keyed by the exact triple; at least
 # ledger.DEFAULT_BATCH_SIZE, so validating a full block of just-admitted
 # transactions re-checks every signature from the cache
@@ -77,10 +73,10 @@ _SODIUM = "libsodium.so.23"
 
 
 def _load_sodium() -> ctypes.CDLL:
-    """The initialised libsodium, its Ed25519 calls typed.  Loaded by soname
-    (``ctypes.util.find_library`` would run ``ldconfig`` in a subprocess),
-    and with no fallback: whether a signature is valid must not depend on
-    which library was found."""
+    """The initialised libsodium, every call this module makes typed.
+    Loaded by soname (``ctypes.util.find_library`` would run ``ldconfig``
+    in a subprocess), and with no fallback: whether a signature is valid
+    must not depend on which library was found."""
     try:
         lib = ctypes.CDLL(_SODIUM)
     except OSError as exc:
@@ -97,6 +93,17 @@ def _load_sodium() -> ctypes.CDLL:
         ("crypto_sign_detached", (buf, ctypes.c_void_p, buf, size, buf)),
         # (sig[64], message, length, pk[32]); 0 iff valid
         ("crypto_sign_verify_detached", (buf, buf, size, buf)),
+        # (q[32] out, n[32]): the public key of secret scalar n
+        ("crypto_scalarmult_curve25519_base", (buf, buf)),
+        # (q[32] out, n[32], p[32]); -1 for a small-order p or an all-zero q
+        ("crypto_scalarmult_curve25519", (buf, buf, buf)),
+        # (c out, clen out or NULL, m, mlen, ad, adlen, nsec (NULL), npub[12], k[32])
+        ("crypto_aead_chacha20poly1305_ietf_encrypt",
+         (buf, ctypes.c_void_p, buf, size, buf, size, ctypes.c_void_p, buf, buf)),
+        # (m out, mlen out or NULL, nsec (NULL), c, clen, ad, adlen, npub[12], k[32]);
+        # 0 iff the tag verifies
+        ("crypto_aead_chacha20poly1305_ietf_decrypt",
+         (buf, ctypes.c_void_p, ctypes.c_void_p, buf, size, buf, size, buf, buf)),
     ):
         func = getattr(lib, name)
         func.argtypes = argtypes
@@ -165,12 +172,6 @@ class KeyPair:
             raise ValueError(f"secret key must be {SECRET_KEY_SIZE} bytes")
 
 
-def _raw_public(key: X25519PublicKey) -> bytes:
-    return key.public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-
-
 def keygen(seed: bytes) -> KeyPair:
     """Derive a key pair deterministically from a 32-byte seed."""
     if len(seed) != SEED_SIZE:
@@ -178,7 +179,7 @@ def keygen(seed: bytes) -> KeyPair:
     sign_seed = hashlib.sha256(seed + b"/sig").digest()
     enc_seed = hashlib.sha256(seed + b"/enc").digest()
     sign_pk = _signing_key(sign_seed)[32:]
-    enc_pk = _raw_public(X25519PrivateKey.from_private_bytes(enc_seed).public_key())
+    enc_pk = _x25519_public(enc_seed)
     return KeyPair(public_key=sign_pk + enc_pk, secret_key=sign_seed + enc_seed)
 
 
@@ -190,11 +191,24 @@ def _signing_key(seed: bytes) -> bytes:
     return secret.raw
 
 
+def _x25519(scalar: bytes, point: bytes | None = None) -> bytes:
+    """X25519 (RFC 7748) of the scalar with the point, or with the base
+    point when none is given.  :class:`ValueError` when libsodium refuses,
+    as it does for a small-order point."""
+    out = ctypes.create_string_buffer(32)
+    if point is None:
+        status = _sodium.crypto_scalarmult_curve25519_base(out, scalar)
+    else:
+        status = _sodium.crypto_scalarmult_curve25519(out, scalar, point)
+    if status != 0:
+        raise ValueError("X25519 refused the point")
+    return out.raw
+
+
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _decrypt_key(seed: bytes) -> tuple[X25519PrivateKey, bytes]:
-    """The X25519 private key and its raw public bytes."""
-    key = X25519PrivateKey.from_private_bytes(seed)
-    return key, _raw_public(key.public_key())
+def _x25519_public(seed: bytes) -> bytes:
+    """The X25519 public key of an encryption seed."""
+    return _x25519(seed)
 
 
 def sign(secret_key: bytes, message: bytes) -> bytes:
@@ -286,12 +300,10 @@ def _verify_chunk(checks: Iterable[tuple[bytes, bytes, bytes]]) -> bool:
 
 
 def _session_key(shared: bytes, ephemeral_pk: bytes, recipient_pk: bytes) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(),
-        length=32,
-        salt=ephemeral_pk + recipient_pk,
-        info=_ECIES_INFO,
-    ).derive(shared)
+    # HKDF-SHA256 (RFC 5869): extract, then the single expand block that a
+    # 32-byte key needs
+    prk = hmac.digest(ephemeral_pk + recipient_pk, shared, "sha256")
+    return hmac.digest(prk, _ECIES_INFO + b"\x01", "sha256")
 
 
 def encrypt(public_key: bytes, plaintext: bytes, rng: RandomSource | None = None) -> bytes:
@@ -299,17 +311,21 @@ def encrypt(public_key: bytes, plaintext: bytes, rng: RandomSource | None = None
 
     Randomized: every call draws a fresh ephemeral key, so two encryptions
     of the same plaintext differ.  The ciphertext layout is the 32-byte
-    ephemeral public key followed by the AEAD box.
+    ephemeral public key followed by the AEAD box (ciphertext, then the
+    16-byte tag).  :class:`ValueError` for a malformed or small-order key.
     """
     if len(public_key) != PUBLIC_KEY_SIZE:
         raise ValueError("malformed public key")
     rng = rng or system_rng()
-    recipient = X25519PublicKey.from_public_bytes(public_key[32:])
-    ephemeral = X25519PrivateKey.from_private_bytes(rng.read(32))
-    ephemeral_pk = _raw_public(ephemeral.public_key())
-    key = _session_key(ephemeral.exchange(recipient), ephemeral_pk, public_key[32:])
-    box = ChaCha20Poly1305(key).encrypt(_ZERO_AEAD_NONCE, plaintext, None)
-    return ephemeral_pk + box
+    recipient_pk = public_key[32:]
+    ephemeral = rng.read(32)
+    ephemeral_pk = _x25519(ephemeral)
+    key = _session_key(_x25519(ephemeral, recipient_pk), ephemeral_pk, recipient_pk)
+    box = ctypes.create_string_buffer(len(plaintext) + 16)
+    _sodium.crypto_aead_chacha20poly1305_ietf_encrypt(
+        box, None, plaintext, len(plaintext), None, 0, None, _ZERO_AEAD_NONCE, key
+    )
+    return ephemeral_pk + box.raw
 
 
 def decrypt(secret_key: bytes, ciphertext: bytes) -> bytes:
@@ -318,14 +334,19 @@ def decrypt(secret_key: bytes, ciphertext: bytes) -> bytes:
         raise DecryptError("malformed secret key")
     if len(ciphertext) < 32 + 16:
         raise DecryptError("ciphertext too short")
-    ephemeral_pk = ciphertext[:32]
-    own, own_pk = _decrypt_key(secret_key[32:])
+    ephemeral_pk, box = ciphertext[:32], ciphertext[32:]
+    own = secret_key[32:]
     try:
-        shared = own.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
-        key = _session_key(shared, ephemeral_pk, own_pk)
-        return ChaCha20Poly1305(key).decrypt(_ZERO_AEAD_NONCE, ciphertext[32:], None)
-    except (InvalidTag, ValueError) as exc:
+        shared = _x25519(own, ephemeral_pk)
+    except ValueError as exc:
         raise DecryptError("decryption failed") from exc
+    key = _session_key(shared, ephemeral_pk, _x25519_public(own))
+    plaintext = ctypes.create_string_buffer(len(box) - 16)
+    if _sodium.crypto_aead_chacha20poly1305_ietf_decrypt(
+        plaintext, None, None, box, len(box), None, 0, _ZERO_AEAD_NONCE, key
+    ) != 0:
+        raise DecryptError("decryption failed")
+    return plaintext.raw
 
 
 def gen_nonce(rng: RandomSource) -> bytes:

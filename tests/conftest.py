@@ -15,6 +15,24 @@ SMALL = dict(n_validators=3, n_users=10, n_resources=10, seed=42)
 IDENTITY_KEY = (1).to_bytes(32, "little")
 UNIVERSAL_SIG = IDENTITY_KEY + bytes(32)
 
+# X25519 u-coordinates (RFC 7748) whose exchange with any secret gives the
+# all-zero shared secret: 0, 1, p - 1, the non-canonical p and p + 1, and
+# the two points of order 8.  As an ephemeral key, each must fail
+# decryption.
+_P25519 = 2**255 - 19
+SMALL_ORDER_X25519 = {
+    name: u.to_bytes(32, "little")
+    for name, u in (
+        ("zero", 0),
+        ("one", 1),
+        ("p-1", _P25519 - 1),
+        ("p", _P25519),
+        ("p+1", _P25519 + 1),
+        ("order-8-a", 325606250916557431795983626356110631294008115727848805560023387167927233504),
+        ("order-8-b", 39382357235489614581723060781553021112529911719440698176882885853963445705823),
+    )
+}
+
 
 def build_small_world(seed: int = 42, **overrides) -> World:
     params = dict(SMALL)

@@ -11,16 +11,22 @@ import textwrap
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from authchain import crypto
 from authchain.errors import DecryptError
-from conftest import IDENTITY_KEY, UNIVERSAL_SIG
+from conftest import IDENTITY_KEY, SMALL_ORDER_X25519, UNIVERSAL_SIG
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,7 @@ class TestKeyCaches:
             assert crypto.sign(pair.secret_key, message) == expected
 
     def test_caches_bounded_by_module_constant(self):
-        for cache in (crypto._signing_key, crypto._decrypt_key):
+        for cache in (crypto._signing_key, crypto._x25519_public):
             assert cache.cache_info().maxsize == crypto.KEY_CACHE_SIZE
 
 
@@ -305,6 +311,17 @@ class TestMissingLibrary:
         assert "imported" not in done.stdout
 
 
+class TestRuntimeImports:
+    def test_cli_loads_no_cryptography(self):
+        child = "import sys, authchain.cli; print([m for m in sys.modules if m.startswith('cryptography')])"
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestVerifyCache:
     def setup_method(self):
         self.alice = crypto.keygen(b"v" * 32)
@@ -362,6 +379,81 @@ class TestEncryption:
         a = crypto.encrypt(self.receiver.public_key, b"m", crypto.seeded_rng(b"e" * 32))
         b = crypto.encrypt(self.receiver.public_key, b"m", crypto.seeded_rng(b"e" * 32))
         assert a == b
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_X25519.values(), ids=SMALL_ORDER_X25519)
+    def test_small_order_point_refused(self, point):
+        ct = crypto.encrypt(self.receiver.public_key, b"payload")
+        with pytest.raises(DecryptError):
+            crypto.decrypt(self.receiver.secret_key, point + ct[32:])
+        with pytest.raises(ValueError):
+            crypto.encrypt(self.receiver.public_key[:32] + point, b"payload")
+
+
+def _raw(public: X25519PublicKey) -> bytes:
+    return public.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+
+
+def _reference_aead(shared: bytes, ephemeral_pk: bytes, recipient_pk: bytes) -> ChaCha20Poly1305:
+    key = HKDF(
+        algorithm=hashes.SHA256(), length=32, salt=ephemeral_pk + recipient_pk,
+        info=b"authchain/ecies/v1",
+    ).derive(shared)
+    return ChaCha20Poly1305(key)
+
+
+def reference_encrypt(public_key: bytes, plaintext: bytes, rng: crypto.RandomSource) -> bytes:
+    """The hybrid construction rebuilt on `cryptography` (OpenSSL)."""
+    ephemeral = X25519PrivateKey.from_private_bytes(rng.read(32))
+    ephemeral_pk = _raw(ephemeral.public_key())
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(public_key[32:]))
+    aead = _reference_aead(shared, ephemeral_pk, public_key[32:])
+    return ephemeral_pk + aead.encrypt(b"\x00" * 12, plaintext, None)
+
+
+def reference_decrypt(secret_key: bytes, ciphertext: bytes) -> bytes:
+    """Raises InvalidTag for a bad tag, ValueError for a small-order key."""
+    own = X25519PrivateKey.from_private_bytes(secret_key[32:])
+    ephemeral_pk = ciphertext[:32]
+    shared = own.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
+    aead = _reference_aead(shared, ephemeral_pk, _raw(own.public_key()))
+    return aead.decrypt(b"\x00" * 12, ciphertext[32:], None)
+
+
+class TestEncryptionAgainstReference:
+    """libsodium's X25519 and ChaCha20-Poly1305, with HKDF from hmac,
+    against the same construction on `cryptography`, the reference."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.binary(min_size=32, max_size=32),
+        rng_seed=st.binary(min_size=32, max_size=32),
+        message=st.binary(max_size=300),
+        position=st.integers(0, 2**16),
+        delta=st.integers(1, 255),
+    )
+    @example(seed=bytes(32), rng_seed=bytes(32), message=b"", position=0, delta=1)
+    @example(seed=b"\xff" * 32, rng_seed=b"\x01" * 32, message=b"\x00" * 7, position=31, delta=0x80)
+    @example(seed=bytes(range(32)), rng_seed=b"e" * 32, message=b"a\x00b\x00", position=1, delta=0x40)
+    def test_keys_ciphertexts_and_failures_agree(self, seed, rng_seed, message, position, delta):
+        pair = crypto.keygen(seed)
+        own = X25519PrivateKey.from_private_bytes(pair.secret_key[32:])
+        assert pair.public_key[32:] == _raw(own.public_key())
+
+        ours = crypto.encrypt(pair.public_key, message, crypto.seeded_rng(rng_seed))
+        theirs = reference_encrypt(pair.public_key, message, crypto.seeded_rng(rng_seed))
+        assert ours == theirs
+        assert crypto.decrypt(pair.secret_key, theirs) == message
+        assert reference_decrypt(pair.secret_key, ours) == message
+
+        tag = len(ours) - 16
+        for start, end in ((0, 32), (32, tag), (tag, len(ours))):  # key, box, tag
+            if start == end:  # an empty message has an empty box
+                continue
+            tampered = ours[:start] + flip(ours[start:end], position, delta) + ours[end:]
+            with pytest.raises(DecryptError):
+                crypto.decrypt(pair.secret_key, tampered)
+            with pytest.raises((InvalidTag, ValueError)):
+                reference_decrypt(pair.secret_key, tampered)
 
 
 class TestNonce:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from authchain import crypto, ledger, storage as S
 from authchain.contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
 from authchain.errors import DecryptError, FormatError
+from conftest import SMALL_ORDER_X25519
 
 
 def kp(tag: str) -> crypto.KeyPair:
@@ -104,6 +105,14 @@ class TestIssueLink:
         )
         with pytest.raises(FormatError):
             S.read_link_note(USER.secret_key, forged)
+
+    @pytest.mark.parametrize("ephemeral", SMALL_ORDER_X25519.values(), ids=SMALL_ORDER_X25519)
+    def test_read_link_note_small_order_ephemeral_format_error(self, ephemeral):
+        _, _, tx = issue(make_node())
+        forged = dataclasses.replace(tx, ciphertext=ephemeral + tx.ciphertext[32:])
+        with pytest.raises(FormatError, match="^unreadable link note: ") as caught:
+            S.read_link_note(USER.secret_key, forged)
+        assert not isinstance(caught.value, DecryptError)
 
     def test_two_issuances_distinct_nonces(self):
         node = make_node()
