@@ -4,8 +4,9 @@ Authentication checks that the requesting key is registered in chain
 memory, that the request is fresh, and that its signature verifies; on
 success it encodes the registered user metadata and the request into bit
 vectors and hands an in-process verified payload to authorization.  The
-payload is never read back from the mempool, which closes the forgery
-hole an unsigned hand-off would otherwise open.
+payload never goes on chain: it is derived from the signed access request
+and the metadata registered on chain, so a copy on chain would add
+nothing but a record a validator could forge.
 
 Authorization runs the learned model over (user bits, resource bits),
 thresholds the four scores into a grant mask, then filters the mask
@@ -21,7 +22,6 @@ serialized by the caller through the single ledger writer.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
@@ -30,7 +30,6 @@ from . import crypto
 from .ledger import (
     DEFAULT_FRESHNESS_WINDOW,
     AccReqTx,
-    VerifiedTx,
     resource_key,
     signing_bytes,
     subject_id,
@@ -82,17 +81,6 @@ class VerifiedPayload:
     user_pk: bytes
     resource_id: int
     operation: str
-
-    def to_tx(self) -> VerifiedTx:
-        """The hand-off as a transaction; its bit strings are interned, so
-        every transaction for one user, or for one resource and operation,
-        shares one string."""
-        return VerifiedTx(
-            timestamp=self.timestamp,
-            user_bits=sys.intern("".join(str(b) for b in self.user_bits)),
-            request_bits=sys.intern("".join(str(b) for b in self.request_bits)),
-            user_pk=self.user_pk,
-        )
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,8 @@ def authenticate(
     now: int,
     window: int = DEFAULT_FRESHNESS_WINDOW,
 ) -> VerifiedPayload | Denial:
-    """Authentication contract: verify the requester, emit the hand-off.
+    """Authentication contract: verify the requester and return the
+    in-process hand-off to :func:`authorize`.
 
     The user bits encode the metadata registered for the key at setup time,
     not the key itself; the request bits encode the resource id and the

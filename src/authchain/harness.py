@@ -7,14 +7,17 @@ log export, outcomes) is byte-reproducible.
 
 A request walks the full pipeline: the signed access request is admitted
 to the mempool and mined; authentication verifies membership, freshness,
-and the signature; the verified hand-off drives authorization (model
-inference filtered by priority rules); a grant becomes an encrypted
-single-use link issued by storage; redeeming the link returns the content
-and logs the access on chain.  Every refusal at any stage lands exactly
-once in storage's malicious-activity log and is rolled into its root, and
-repeated misuse trips the ban rule.  The rules and the log root have one
-copy each, in the rule store and the log; :func:`save_world_artifacts`
-writes the state sidecar from them.
+and the signature; its in-process hand-off drives authorization (model
+inference filtered by priority rules) and never goes on chain; a grant
+becomes an encrypted single-use link issued by storage and mined; redeeming
+the link returns the content and logs the access on chain.  So a grant
+mines three blocks (access request, link, storage record), a refusal after
+admission mines one (its access request), and a refusal at admission
+mines none.  Every refusal at any stage lands exactly once in storage's
+malicious-activity log and is rolled into its root, and repeated misuse
+trips the ban rule.  The rules and the log root have one copy each, in
+the rule store and the log; :func:`save_world_artifacts` writes the state
+sidecar from them.
 """
 
 from __future__ import annotations
@@ -355,11 +358,8 @@ def _run_request_locked(
     if isinstance(result, Denial):
         return outcome(_deny(world, subject, result, tx_canonical_bytes(accreq)))
 
-    payload = result
-    world.mempool.submit(world.chain, payload.to_tx(), world.now(), cfg.freshness_window)
-
     decision = authorize(
-        payload,
+        result,
         world.chain.memory,
         world.model,
         world.rules,
@@ -368,7 +368,6 @@ def _run_request_locked(
         cfg.threshold,
     )
     if isinstance(decision, Denial):
-        heights.append(_produce(world).height)  # the verified tx still lands on chain
         return outcome(_deny(world, subject, decision, tx_canonical_bytes(accreq)))
 
     issued = world.storage_node.issue_link(
@@ -380,7 +379,6 @@ def _run_request_locked(
         block_height=world.chain.height,
     )
     if isinstance(issued, Denial):
-        heights.append(_produce(world).height)
         return outcome(_deny(world, subject, issued))
 
     world.mempool.submit(world.chain, issued, world.now(), cfg.freshness_window)

@@ -37,6 +37,10 @@ from .model import check_metadata
 DEFAULT_FRESHNESS_WINDOW = 120  # seconds
 DEFAULT_BATCH_SIZE = 100
 ZERO_DIGEST = b"\x00" * crypto.DIGEST_SIZE
+# the chain format, written into the genesis payload as "format"; a genesis
+# with no format or any other value is invalid, so a chain of an older
+# format is refused rather than misread
+CHAIN_FORMAT = 1
 
 # (public_key, message, signature) -> verdict; crypto.verify_sig by default
 SignatureCheck = Callable[[bytes, bytes, bytes], bool]
@@ -223,34 +227,9 @@ class StorageTx:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class VerifiedTx:
-    """Unsigned hand-off from authentication to authorization.
+Transaction = Union[SetupTx, AccReqTx, LinkTx, StorageTx]
 
-    Recorded on chain for the audit trail; the authorization contract only
-    ever consumes the in-process payload produced by authentication, never
-    a transaction read back from the mempool.
-    """
-
-    kind: ClassVar[str] = "verified"
-    timestamp: int
-    user_bits: str
-    request_bits: str
-    user_pk: bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "timestamp": self.timestamp,
-            "user_bits": self.user_bits,
-            "request_bits": self.request_bits,
-            "user_pk": self.user_pk.hex(),
-        }
-
-
-Transaction = Union[SetupTx, AccReqTx, LinkTx, StorageTx, VerifiedTx]
-
-_TX_KINDS = {"setup", "accreq", "link", "storage", "verified"}
+_TX_KINDS = {"setup", "accreq", "link", "storage"}
 
 
 def signing_bytes(obj) -> bytes:
@@ -306,13 +285,6 @@ def tx_from_dict(d: dict) -> Transaction:
                 timestamp=int(d["timestamp"]),
                 user_pk=bytes.fromhex(d["user_pk"]),
                 sig=bytes.fromhex(d["sig"]),
-            )
-        if kind == "verified":
-            return VerifiedTx(
-                timestamp=int(d["timestamp"]),
-                user_bits=str(d["user_bits"]),
-                request_bits=str(d["request_bits"]),
-                user_pk=bytes.fromhex(d["user_pk"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed transaction: {exc}") from exc
@@ -514,13 +486,15 @@ def genesis(
 ) -> Chain:
     """Create a chain whose genesis block carries the network configuration.
 
-    The genesis block is signed by the validator scheduled for height 0.
-    The optional resource catalog maps resource id to its 8 metadata
-    attributes and seeds ``resource/<id>`` entries in chain memory.
+    The genesis block is signed by the validator scheduled for height 0
+    and carries ``CHAIN_FORMAT``.  The optional resource catalog maps
+    resource id to its 8 metadata attributes and seeds ``resource/<id>``
+    entries in chain memory.
     """
     if proposer.public_key != validators.scheduled(0):
         raise ScheduleError("genesis must be proposed by the validator at index 0")
     payload = {
+        "format": CHAIN_FORMAT,
         "validators": [v.hex() for v in validators.members],
         "admin_pk": admin_pk.hex(),
         "storage_pk": storage_pk.hex() if storage_pk else None,
@@ -593,11 +567,12 @@ def check_tx(
 
     Setup transactions by the genesis admin (and with valid metadata),
     access requests by the requesting user, links and storage records by
-    the genesis storage key; verified hand-offs are unsigned by design.
-    Returns ``not-admin``, ``bad-signature``, ``malformed`` or
-    ``unknown-kind``, or None when the transaction passes.  Admission and
-    block validation both apply it.  ``verify`` checks each signature;
-    the default is ``crypto.verify_sig``, looked up on every call.
+    the genesis storage key; anything else is ``unknown-kind``, whoever
+    signs the block carrying it.  Returns ``not-admin``,
+    ``bad-signature``, ``malformed`` or ``unknown-kind``, or None when
+    the transaction passes.  Admission and block validation both apply
+    it.  ``verify`` checks each signature; the default is
+    ``crypto.verify_sig``, looked up on every call.
     """
     verify = verify or crypto.verify_sig
     if isinstance(tx, SetupTx):
@@ -618,7 +593,7 @@ def check_tx(
             bytes.fromhex(storage_hex), signing_bytes(tx), tx.sig
         ):
             return "bad-signature"
-    elif not isinstance(tx, VerifiedTx):
+    else:
         return "unknown-kind"
     return None
 
@@ -670,16 +645,20 @@ def produce_block(
 
 def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
     """Full structural check of a candidate for the chain's next height,
-    a pure function of the chain and the block; every transaction must
-    meet :func:`check_tx`, and no access request may carry a nonce that
-    is already on the chain or repeats within the block.  ``verify``
-    checks each signature, as in :func:`check_tx`."""
+    a pure function of the chain and the block; a genesis must carry
+    ``CHAIN_FORMAT``, every transaction must meet :func:`check_tx`, and
+    no access request may carry a nonce that is already on the chain or
+    repeats within the block.  ``verify`` checks each signature, as in
+    :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return False
     if block.height == 0:
         payload = block.payload
         if not isinstance(payload, dict):
+            return False
+        chain_format = payload.get("format")
+        if type(chain_format) is not int or chain_format != CHAIN_FORMAT:
             return False
         try:
             validators = ValidatorSet(
@@ -781,9 +760,7 @@ def query_history(
 
 
 def _tx_user(tx: Transaction) -> bytes | None:
-    if isinstance(tx, (AccReqTx, StorageTx, VerifiedTx)):
-        return tx.user_pk
-    if isinstance(tx, SetupTx):
+    if isinstance(tx, (SetupTx, AccReqTx, StorageTx)):
         return tx.user_pk
     if isinstance(tx, LinkTx):
         return tx.recipient

@@ -211,6 +211,27 @@ class TestWorldCommands:
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
         assert capsys.readouterr().out.startswith("chain INVALID")
 
+    def test_verify_chain_refuses_the_format_before_chain_format(self, tmp_path, capsys):
+        # a chain of the older format: no "format" in genesis, and an
+        # unsigned "verified" hand-off mined beside each decision's next step
+        report = str(tmp_path / "reports.json")
+        assert dispatch(["scenario", "--all", *WORLD_FLAGS, *world_files(tmp_path), "--report", report]) == 0
+        chain_file = tmp_path / "chain.jsonl"
+        blocks = [json.loads(line) for line in chain_file.read_bytes().splitlines()]
+        del blocks[0]["payload"]["format"]
+        last = blocks[-1]["transactions"]
+        last.append({"kind": "verified", "timestamp": last[0]["timestamp"], "user_bits": "0" * 32,
+                     "request_bits": "0" * 36, "user_pk": last[0]["user_pk"]})
+        chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks) + b"\n")
+        capsys.readouterr()
+        assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
+        assert capsys.readouterr().out == (
+            f"chain INVALID: chain line {len(blocks)}: unknown transaction kind 'verified'\n"
+        )
+        chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks[:-1]) + b"\n")
+        assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
+        assert capsys.readouterr().out == "chain INVALID: validation failed\n"
+
     def test_scenario_all_passes_and_verifies(self, tmp_path, capsys):
         report = tmp_path / "reports.json"
         code = dispatch(

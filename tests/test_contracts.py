@@ -104,12 +104,6 @@ class TestAuthenticate:
         assert isinstance(result, C.Denial)
         assert result.reason == C.DenialReason.UNAUTHENTICATED
 
-    def test_verified_tx_round_trip(self):
-        payload = C.authenticate(accreq(), memory_with(), NOW)
-        tx = payload.to_tx()
-        assert tx.user_bits == "".join(str(b) for b in payload.user_bits)
-        assert tx.user_pk == USER.public_key
-
 
 def authorize_simple(model, rules=None, op="read", ts=NOW, resource_id=RESOURCE_ID):
     payload = C.authenticate(

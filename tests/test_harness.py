@@ -109,10 +109,49 @@ class TestRunRequest:
         world = build_small_world(seed=3)
         user_index, resource_id, op = H.find_case(world, want_grant=True)
         user_pk = world.users[user_index].public_key
-        H.run_request(world, user_index, resource_id, op)
-        for kind in ("accreq", "verified", "link", "storage"):
+        height = world.chain.height
+        outcome = H.run_request(world, user_index, resource_id, op)
+        for kind in ("accreq", "link", "storage"):
             matches = ledger.query_history(world.chain, user_pk=user_pk, kind=kind)
             assert len(matches) == 1, kind
+        # three blocks, one transaction each
+        assert outcome.heights == (height, height + 1, height + 2) and world.chain.height == height + 3
+        assert [
+            [tx.kind for tx in world.chain.blocks[h].transactions] for h in outcome.heights
+        ] == [["accreq"], ["link"], ["storage"]]
+
+    @pytest.mark.parametrize(
+        "refusal", ["model-denied", "policy-denied", "wrong-resource", "issue-link"]
+    )
+    def test_refusal_after_authentication_mines_one_block(self, refusal):
+        # only the access request is mined: the hand-off from authentication
+        # to authorization stays in-process
+        world = build_small_world(seed=3)
+        if refusal == "model-denied":
+            case = H.find_case(world, want_grant=False)
+        elif refusal == "wrong-resource":
+            case = (0, 424242, "read")
+        else:
+            case = user_index, resource_id, op = H.find_case(world, want_grant=True)
+            if refusal == "policy-denied":
+                world.rules.add(
+                    PriorityRule(
+                        ordinal=world.rules.next_ordinal(),
+                        subject=ledger.subject_id(world.users[user_index].public_key),
+                        resource=str(resource_id),
+                        operations=tuple(name == op for name in OPERATIONS),
+                        effect=DENY,
+                    )
+                )
+            else:  # the chain catalogs the resource, storage no longer holds it
+                del world.storage_node.resources[resource_id]
+        height, records = world.chain.height, len(world.storage_node.log)
+        outcome = H.run_request(world, *case)
+        verdict = "wrong-resource" if refusal == "issue-link" else refusal
+        assert outcome.verdict == f"denied:{verdict}"
+        assert outcome.heights == (height,)
+        assert world.chain.height == height + 1
+        assert len(world.storage_node.log) == records + 1
 
     def test_unregistered_user_unauthenticated(self, fresh_world):
         outcome = H.run_request(fresh_world, len(fresh_world.users) + 5, 0, "read")
@@ -213,23 +252,10 @@ class TestResidentMemory:
             *world.dataset.tuples,
         ]
         assert {type(obj).__name__ for obj in kept} == {
-            "Block", "SetupTx", "AccReqTx", "VerifiedTx", "LinkTx", "StorageTx",
+            "Block", "SetupTx", "AccReqTx", "LinkTx", "StorageTx",
             "AccessLink", "MaliciousRecord", "AccessTuple",
         }
         assert [type(obj).__name__ for obj in kept if hasattr(obj, "__dict__")] == []
-
-    def test_grants_for_one_user_share_their_bit_strings(self, served):
-        world, grants = served
-        # a grant mines its verified hand-off with its link, in its second block
-        first, second = (
-            next(
-                tx for tx in world.chain.blocks[outcome.heights[1]].transactions
-                if isinstance(tx, ledger.VerifiedTx)
-            )
-            for outcome in grants
-        )
-        assert first.user_bits is second.user_bits
-        assert first.request_bits is second.request_bits
 
     def test_storage_tx_shares_its_link_nonce(self, served):
         world, grants = served
@@ -257,14 +283,14 @@ class TestResidentMemory:
         ]:
             H.run_request(world, *case)
         assert world.storage_node.log.history == [
-            {"group": 0, "height": 4,
-             "root": "b302488f79dbfa41480250aac588a1c6c42b0349d89dc1f824df3c1c33a5968d"},
-            {"group": 1, "height": 5,
-             "root": "879150fe519ce8566f0f730da37448f3ac61d40157764ca263e6428c155402b4"},
-            {"group": 2, "height": 7,
-             "root": "1054c08ffe973402e6a1c99082f305f359a44def5fcf92f3e6b23473ee81b466"},
-            {"group": 3, "height": 12,
-             "root": "4a155958d2b66887ed1c4d7847b349ebf14fced99a2c85ca2926daeff836ce01"},
+            {"group": 0, "height": 3,
+             "root": "3056410e3f96b8db0e3d1563643e0f6c4efa61d08f442da5c750d3f75ed82306"},
+            {"group": 1, "height": 4,
+             "root": "cdda9de44b0944e57f783f7ecaeffbf1b86af1b21a28b131b08bd2402898ee1b"},
+            {"group": 2, "height": 5,
+             "root": "00ec72b7bdcf589d18059158608bf8f52f84ff2886165005217775a050476976"},
+            {"group": 3, "height": 9,
+             "root": "551b3d266091bfa2e6c5bc238f0207a956182d5ab7a6d17813c6447b778c8ab0"},
         ]
 
 
@@ -505,8 +531,8 @@ class TestCryptoCounts:
         counts = self.count_calls(monkeypatch)
         cases = {
             "allowed": (H.find_case(world, want_grant=True), (10, 6)),
-            "denied:model-denied": (H.find_case(world, want_grant=False), (5, 3)),
-            "denied:wrong-resource": ((0, 10**6, "read"), (5, 3)),
+            "denied:model-denied": (H.find_case(world, want_grant=False), (4, 2)),
+            "denied:wrong-resource": ((0, 10**6, "read"), (4, 2)),
             "denied:unauthenticated": ((len(world.users), 0, "read"), (3, 2)),
         }
         for verdict, (case, expected) in cases.items():
@@ -520,8 +546,8 @@ class TestCryptoCounts:
         world = H.setup_world(3, 30, 12, seed=0)
         cases = {
             "allowed": (H.find_case(world, want_grant=True), 6),
-            "denied:model-denied": (H.find_case(world, want_grant=False), 3),
-            "denied:wrong-resource": ((0, 10**6, "read"), 3),
+            "denied:model-denied": (H.find_case(world, want_grant=False), 2),
+            "denied:wrong-resource": ((0, 10**6, "read"), 2),
             "denied:unauthenticated": ((len(world.users), 0, "read"), 2),
         }
         crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
@@ -563,14 +589,10 @@ class TestCryptoCounts:
         path = tmp_path / "chain.jsonl"
         H.save_world_artifacts(world, chain_path=path)
         loaded = ledger.load_chain(path)
-        signed_txs = sum(
-            not isinstance(tx, ledger.VerifiedTx)
-            for block in loaded.blocks
-            for tx in block.transactions
-        )
+        transactions = sum(len(block.transactions) for block in loaded.blocks)
         counts = self.count_calls(monkeypatch)
         assert ledger.validate_chain(loaded)
-        assert counts["verify"] == len(loaded.blocks) + signed_txs
+        assert counts["verify"] == len(loaded.blocks) + transactions
 
 
 class TestArtifacts:
@@ -585,9 +607,9 @@ class TestArtifacts:
         paths = [tmp_path / name for name in ("chain.jsonl", "state.json", "log.jsonl")]
         H.save_world_artifacts(world, *paths)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
-            "0f1602bde6a7a60f3afa5cf9a8d3c01802f5f3c774d215f1e683932549eda423",
-            "6a0a68b7fea678823e8a0875945b2e7aabc1d0608f3a852cbc97bf4dc8449342",
-            "4bda5511465a02e5c8f9a7208dce5bd74cd2931e725f17bfb1f55e2e678ff45f",
+            "57971c3c65d3f73e8d6e783b83472ccbfc9c20b955f467b07acdd07b8aafefcd",
+            "fe90d64df36b72fc55c32fa1b023adadd6cabb18141f0759d23f7516d9b9cc4b",
+            "81408c33354475e384d0ade3c7f7e1008f77a0531652873ab369b5d2e47911b5",
         ]
 
     def test_state_sidecar_holds_rules_added_before_any_ban(self, tmp_path):

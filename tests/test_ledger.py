@@ -11,7 +11,8 @@ import random
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +185,21 @@ class TestGenesis:
         assert chain.memory.get(ledger.resource_key(7)) == {
             "metadata": list(ATTRS)
         }
+
+    def test_genesis_carries_the_chain_format(self):
+        assert fresh_chain().genesis_payload["format"] == ledger.CHAIN_FORMAT == 1
+
+    @pytest.mark.parametrize(
+        "chain_format", [None, 0, 2, True, 1.0, "1"], ids=["absent", "0", "2", "true", "1.0", "str"]
+    )
+    def test_genesis_of_another_format_invalid(self, chain_format):
+        block = fresh_chain().blocks[0]
+        payload = {k: v for k, v in block.payload.items() if k != "format"}
+        if chain_format is not None:
+            payload["format"] = chain_format
+        resigned = ledger.signed(replace(block, payload=payload), VALIDATORS[0])
+        assert not ledger.validate_block(ledger.Chain(), resigned)
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([resigned]))
 
 
 class TestSubmit:
@@ -522,6 +538,52 @@ class TestSmallOrderKeyForgery:
         assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
 
 
+@dataclass(frozen=True)
+class FabricatedHandOff:
+    """The unsigned authentication hand-off that older chains carried, or
+    any other object that is not one of the four transaction kinds."""
+
+    kind: ClassVar[str] = "verified"
+    user_pk: bytes
+    timestamp: int = 1_700_000_000
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "timestamp": self.timestamp, "user_pk": self.user_pk.hex()}
+
+
+class TestFabricatedHandOff:
+    """A validator mines a transaction of no known kind, here a hand-off for
+    a key that was never registered."""
+
+    def test_check_tx_refuses_an_unknown_kind(self):
+        chain = fresh_chain()
+        tx = FabricatedHandOff(kp("never-registered").public_key)
+        assert ledger.check_tx(chain.genesis_payload, tx) == "unknown-kind"
+        assert ledger.Mempool().submit(chain, tx, tx.timestamp) == "unknown-kind"
+
+    def test_scheduled_validator_cannot_mine_it(self):
+        chain, _ = build_chain_with_users(n_blocks=2)
+        honest = ledger.make_accreq(USERS[0], 1, "read", bytes([7]) * 16, 1_700_000_000)
+        assert ledger.validate_block(chain, block_at_tip(chain, [honest]))
+        block = block_at_tip(chain, [honest, FabricatedHandOff(kp("never-registered").public_key)])
+        assert block.proposer == chain.validator_set.scheduled(chain.height)
+        assert not ledger.validate_block(chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, block)
+        assert chain.height == 2
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
+
+    def test_chain_file_holding_a_hand_off_refused_at_parse(self, tmp_path):
+        chain, _ = build_chain_with_users(n_blocks=2)
+        block = block_at_tip(chain, [FabricatedHandOff(USERS[0].public_key)])
+        with pytest.raises(FormatError, match="unknown transaction kind 'verified'"):
+            ledger.block_from_dict(block.to_dict())
+        path = tmp_path / "chain.jsonl"
+        ledger.write_canonical_lines(path, [b.to_dict() for b in (*chain.blocks, block)])
+        with pytest.raises(FormatError, match="^chain line 3: unknown transaction kind 'verified'$"):
+            ledger.load_chain(path)
+
+
 class TestTipHashCache:
     def assert_coherent(self, chain):
         assert chain.tip_hash() == ledger.block_hash(chain.blocks[-1])
@@ -555,16 +617,22 @@ class TestTipHashCache:
         assert loaded.tip_hash() == chain.tip_hash()
 
 
+HEX_DIGITS = b"0123456789abcdef"
+
+
 def byte_flipped_chains():
-    """(position, chain) for 40 seeded single-byte flips of a 4-block chain
-    file; a flip that no longer parses is left out, as already detected."""
+    """(position, chain) for 40 seeded single-byte changes of a 4-block
+    chain file, each turning a hex digit into another, so most still parse
+    and reach validation; one that no longer parses is left out, as
+    already detected."""
     chain, _ = build_chain_with_users(n_blocks=4)
     blob = b"\n".join(ledger.block_canonical_bytes(b) for b in chain.blocks)
+    digits = [i for i, byte in enumerate(blob) if byte in HEX_DIGITS]
     rng = random.Random(2024)
     for _ in range(40):
         mutated = bytearray(blob)
-        position = rng.randrange(len(mutated))
-        mutated[position] ^= rng.randrange(1, 256)
+        position = rng.choice(digits)
+        mutated[position] = rng.choice([d for d in HEX_DIGITS if d != mutated[position]])
         try:
             blocks = [
                 ledger.block_from_dict(json.loads(line.decode()))
@@ -625,8 +693,7 @@ def bad_first_signature(world, blocks):
 def bad_last_signature(world, blocks):
     last = blocks[-1]
     txs = list(last.transactions)
-    i = next(i for i, tx in enumerate(txs) if not isinstance(tx, ledger.VerifiedTx))
-    txs[i] = replace(txs[i], sig=flip(txs[i].sig))
+    txs[0] = replace(txs[0], sig=flip(txs[0].sig))
     last = replace(
         last,
         transactions=tuple(txs),
@@ -734,10 +801,8 @@ class TestParallelValidation:
         monkeypatch.setattr(crypto, "verify_sig", lambda *check: verifies.append(check) or inner(*check))
         assert ledger.validate_chain(ledger.Chain.from_blocks_unchecked(blocks)) is expected
         if expected:  # every signature verified exactly once
-            signed_txs = sum(
-                not isinstance(tx, ledger.VerifiedTx) for b in blocks for tx in b.transactions
-            )
-            assert len(verifies) == len(set(verifies)) == len(blocks) + signed_txs
+            transactions = sum(len(b.transactions) for b in blocks)
+            assert len(verifies) == len(set(verifies)) == len(blocks) + transactions
 
     def test_other_threads_keep_verification_in_process(self, served_world, pooled):
         release = threading.Event()
