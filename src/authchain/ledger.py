@@ -732,41 +732,6 @@ def validate_chain(chain: Chain) -> bool:
         return False
 
 
-def query_history(
-    chain: Chain,
-    user_pk: bytes | None = None,
-    resource_id: int | None = None,
-    kind: str | None = None,
-    nonce: bytes | None = None,
-) -> list[tuple[int, Transaction]]:
-    """All transactions matching the given filters, in chain order."""
-    if kind is not None and kind not in _TX_KINDS:
-        raise ValueError(f"unknown transaction kind {kind!r}")
-    out: list[tuple[int, Transaction]] = []
-    for block in chain.blocks:
-        for tx in block.transactions:
-            if kind is not None and tx.kind != kind:
-                continue
-            if user_pk is not None and _tx_user(tx) != user_pk:
-                continue
-            if resource_id is not None and not (
-                isinstance(tx, AccReqTx) and tx.resource_id == resource_id
-            ):
-                continue
-            if nonce is not None and getattr(tx, "nonce", None) != nonce:
-                continue
-            out.append((block.height, tx))
-    return out
-
-
-def _tx_user(tx: Transaction) -> bytes | None:
-    if isinstance(tx, (SetupTx, AccReqTx, StorageTx)):
-        return tx.user_pk
-    if isinstance(tx, LinkTx):
-        return tx.recipient
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Persistence: JSON lines, one canonical value per line
 # ---------------------------------------------------------------------------

@@ -8,14 +8,20 @@ layers and a sigmoid output head producing one score per operation
 (read, write, execute, own).
 
 Training is plain full-batch gradient descent on mean binary
-cross-entropy, deterministic under the configured seed.  Weights round
-through float32 at construction so the binary weight file reproduces a
-model bit-exactly.
+cross-entropy, deterministic under the configured seed.  It runs in a
+short-lived forked child, on arrays allocated once per run, so the
+process that serves keeps none of its memory.  Weights round through
+float32 at construction so the binary weight file reproduces a model
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import struct
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -132,20 +138,37 @@ class DecisionModel:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _activations(layers, inputs: np.ndarray) -> list[np.ndarray]:
+    """``inputs``, then one unfilled array per layer for :func:`_forward_all`."""
+    return [inputs] + [np.empty((inputs.shape[0], weights.shape[0])) for weights, _ in layers]
 
 
-def _forward_all(layers, inputs: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for a batch; last entry is the score matrix."""
-    activations = [inputs]
-    h = inputs
+def _forward_all(layers, activations: list[np.ndarray]) -> np.ndarray:
+    """Forward pass over the batch ``activations[0]``, writing layer i's
+    output into ``activations[i + 1]``; returns the score matrix."""
     last = len(layers) - 1
     for i, (weights, biases) in enumerate(layers):
-        z = h @ weights.T + biases
-        h = _sigmoid(z) if i == last else np.maximum(z, 0.0)
-        activations.append(h)
-    return activations
+        h = activations[i + 1]
+        np.matmul(activations[i], weights.T, h)  # out positionally: no keyword parsing per call
+        h += biases
+        if i == last:  # sigmoid: 1 / (1 + exp(-z))
+            np.negative(h, out=h)
+            np.exp(h, out=h)
+            h += 1.0
+            np.divide(1.0, h, out=h)
+        else:
+            np.maximum(h, 0.0, out=h)
+    return activations[-1]
+
+
+class _Backward:
+    """What :func:`_raw_gradients` writes for a batch of ``n`` rows: the
+    per-layer deltas, the hidden layers' ReLU masks and the gradients."""
+
+    def __init__(self, layers, n: int) -> None:
+        self.deltas = [np.empty((n, weights.shape[0])) for weights, _ in layers]
+        self.masks = [np.empty(delta.shape, dtype=bool) for delta in self.deltas[:-1]]
+        self.grads = [(np.empty(w.shape), np.empty(b.shape)) for w, b in layers]
 
 
 def infer(model: DecisionModel, bits) -> tuple[float, ...]:
@@ -153,7 +176,7 @@ def infer(model: DecisionModel, bits) -> tuple[float, ...]:
     x = np.asarray(bits, dtype=np.float64)
     if x.shape != (INPUT_WIDTH,):
         raise ValueError(f"input must have width {INPUT_WIDTH}")
-    scores = _forward_all(model.layers, x[None, :])[-1][0]
+    scores = _forward_all(model.layers, _activations(model.layers, x[None, :]))[0]
     return tuple(float(s) for s in scores)
 
 
@@ -179,50 +202,142 @@ def _init_layers(dims: tuple[int, ...], seed: int) -> list[tuple[np.ndarray, np.
     return layers
 
 
+def _pair_inputs(tuples) -> np.ndarray:
+    """The network input of every tuple, one row each; each distinct
+    attribute tuple is encoded once."""
+    encoded: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def bits(attrs) -> tuple[int, ...]:
+        if attrs not in encoded:
+            encoded[attrs] = encode_attrs(attrs)
+        return encoded[attrs]
+
+    return np.array(
+        [bits(t.user_attrs) + bits(t.resource_attrs) for t in tuples], dtype=np.float64
+    )
+
+
 def train(dataset: "SyntheticDataset", config: "Config") -> DecisionModel:
     """Fit the network on the training split by full-batch gradient descent,
-    with the config's learning rate, epochs, seed and hidden widths."""
+    with the config's learning rate, epochs, seed and hidden widths.
+
+    The fit runs in a child made with ``os.fork``, so what training touches
+    (BLAS thread buffers, the batch arrays, the numpy code it pages in)
+    leaves with the child, and the process that goes on to serve never
+    holds it.  The child hands the model back in the weight-file format,
+    which round-trips it bit-exactly.  Where ``os.fork`` is missing, or
+    other threads are alive in this process (forking them is unsafe), the
+    fit runs here.
+    """
     if not dataset.train:
         raise ValueError("training split is empty")
-    inputs = np.array(
-        [encode_pair(t.user_attrs, t.resource_attrs) for t in dataset.train],
-        dtype=np.float64,
-    )
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return _fit(dataset, config)
+    return _fit_in_child(dataset, config)
+
+
+def _fit(dataset: "SyntheticDataset", config: "Config") -> DecisionModel:
+    inputs = _pair_inputs(dataset.train)
     labels = np.array([t.labels for t in dataset.train], dtype=np.float64)
     dims = (INPUT_WIDTH,) + tuple(config.hidden) + (N_OPERATIONS,)
     layers = _init_layers(dims, config.seed)
+    # every epoch overwrites the same arrays: none is allocated in the loop
+    activations = _activations(layers, inputs)
+    backward = _Backward(layers, len(inputs))
     for _ in range(config.epochs):
-        grads = _raw_gradients(layers, inputs, labels)
+        grads = _raw_gradients(layers, activations, labels, backward)
         for (weights, biases), (gw, gb) in zip(layers, grads):
-            weights -= config.learning_rate * gw
-            biases -= config.learning_rate * gb
-    return DecisionModel(tuple((w, b) for w, b in layers))
+            gw *= config.learning_rate
+            weights -= gw
+            gb *= config.learning_rate
+            biases -= gb
+    return DecisionModel(tuple(layers))
 
 
-def _raw_gradients(layers, inputs: np.ndarray, labels: np.ndarray):
-    """Analytic gradient of mean BCE w.r.t. every weight and bias."""
-    activations = _forward_all(layers, inputs)
+# the training child's first reply byte: a weight file or a pickled exception follows
+_MODEL = b"\x00"
+_FAILURE = b"\x01"
+
+
+def _fit_in_child(dataset: "SyntheticDataset", config: "Config") -> DecisionModel:
+    """:func:`_fit` in a forked child that writes back one status byte, then
+    the model's weight file or its pickled exception.  The child is reaped
+    on every path, and its exception is raised here."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = _MODEL + weights_to_bytes(_fit(dataset, config))
+            except BaseException as exc:
+                reply = _FAILURE + _exception_bytes(exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(reply)
+            status = 0
+        finally:
+            os._exit(status)  # never back into the parent's code, atexit or buffers
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            reply = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if reply[:1] == _MODEL:
+        return weights_from_bytes(reply[1:])
+    if reply[:1] == _FAILURE:
+        raise pickle.loads(reply[1:])
+    raise RuntimeError(
+        f"training child ended with status {os.waitstatus_to_exitcode(status)} and no model"
+    )
+
+
+def _exception_bytes(exc: BaseException) -> bytes:
+    """``exc`` pickled with the child's traceback as a note, or a
+    RuntimeError naming it where ``exc`` does not survive pickling."""
+    import traceback
+
+    try:
+        note = "raised in the training child:\n" + "".join(traceback.format_exception(exc))
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]  # add_note is 3.11+
+        blob = pickle.dumps(exc)
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps(RuntimeError(f"training failed: {type(exc).__name__}: {exc}"))
+
+
+def _raw_gradients(layers, activations: list[np.ndarray], labels: np.ndarray, backward: _Backward):
+    """Analytic gradient of mean BCE w.r.t. every weight and bias, written
+    into ``backward.grads`` after a forward pass into ``activations``."""
+    scores = _forward_all(layers, activations)
     # sigmoid + BCE gives dL/dz directly
-    delta = (activations[-1] - labels) / labels.size
-    grads = [None] * len(layers)
+    delta = backward.deltas[-1]
+    np.subtract(scores, labels, out=delta)
+    delta /= labels.size
     for i in range(len(layers) - 1, -1, -1):
-        weights, _ = layers[i]
-        grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
+        gw, gb = backward.grads[i]
+        np.matmul(delta.T, activations[i], out=gw)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
-            delta = (delta @ weights) * (activations[i] > 0)
-    return grads
+            below, mask = backward.deltas[i - 1], backward.masks[i - 1]
+            np.matmul(delta, layers[i][0], out=below)
+            np.greater(activations[i], 0, out=mask)
+            below *= mask
+            delta = below
+    return backward.grads
 
 
 def accuracy(model: DecisionModel, tuples, threshold: float = 0.5) -> float:
     """Fraction of per-operation grants predicted correctly."""
     if not tuples:
         raise ValueError("no tuples to score")
-    inputs = np.array(
-        [encode_pair(t.user_attrs, t.resource_attrs) for t in tuples],
-        dtype=np.float64,
-    )
     labels = np.array([t.labels for t in tuples], dtype=bool)
-    scores = _forward_all(model.layers, inputs)[-1]
+    scores = _forward_all(model.layers, _activations(model.layers, _pair_inputs(tuples)))
     return float(((scores >= threshold) == labels).mean())
 
 
@@ -241,17 +356,18 @@ def gradient_check(model: DecisionModel, sample, step: float = 1e-4) -> float:
     x = np.asarray(bits, dtype=np.float64)[None, :]
     y = np.asarray(labels, dtype=np.float64)[None, :]
 
-    analytic = _raw_gradients(model.layers, x, y)
+    activations = _activations(model.layers, x)
+    analytic = _raw_gradients(model.layers, activations, y, _Backward(model.layers, 1))
     mutable = [(w.copy(), b.copy()) for w, b in model.layers]
 
     def loss() -> float:
-        return _bce_loss(_forward_all(mutable, x)[-1], y)
+        return _bce_loss(_forward_all(mutable, activations), y)
 
     worst = 0.0
     for layer, (weights, biases) in enumerate(mutable):
         for arr, grad in ((weights, analytic[layer][0]), (biases, analytic[layer][1])):
             flat = arr.reshape(-1)
-            gflat = np.asarray(grad).reshape(-1)
+            gflat = grad.reshape(-1)
             for k in range(flat.size):
                 original = flat[k]
                 flat[k] = original + step
@@ -271,7 +387,7 @@ def gradient_check(model: DecisionModel, sample, step: float = 1e-4) -> float:
 # column counts (u32 LE) followed by row-major float32 LE weights and biases.
 # ---------------------------------------------------------------------------
 
-def save_weights(model: DecisionModel, path) -> None:
+def weights_to_bytes(model: DecisionModel) -> bytes:
     parts = [
         WEIGHTS_MAGIC,
         struct.pack("<H", WEIGHTS_VERSION),
@@ -282,13 +398,16 @@ def save_weights(model: DecisionModel, path) -> None:
         parts.append(struct.pack("<II", rows, cols))
         parts.append(weights.astype("<f4").tobytes(order="C"))
         parts.append(biases.astype("<f4").tobytes())
+    return b"".join(parts)
+
+
+def save_weights(model: DecisionModel, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(weights_to_bytes(model))
 
 
-def load_weights(path) -> DecisionModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def weights_from_bytes(blob: bytes) -> DecisionModel:
+    """Parse a weight file; :class:`FormatError` for anything malformed."""
     view = memoryview(blob)
     offset = 0
 
@@ -311,12 +430,14 @@ def load_weights(path) -> DecisionModel:
 
     layers = []
     previous = INPUT_WIDTH
-    for _ in range(n_layers):
+    for index in range(n_layers):
         rows, cols = struct.unpack("<II", take(8))
         if cols != previous:
             raise FormatError(f"layer expects {cols} inputs, previous width {previous}")
         weights = np.frombuffer(take(rows * cols * 4), dtype="<f4").reshape(rows, cols)
         biases = np.frombuffer(take(rows * 4), dtype="<f4")
+        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+            raise FormatError(f"layer {index} holds a non-finite parameter")
         layers.append((weights.astype(np.float64), biases.astype(np.float64)))
         previous = rows
     if previous != N_OPERATIONS:
@@ -324,6 +445,11 @@ def load_weights(path) -> DecisionModel:
     if offset != len(view):
         raise FormatError("trailing bytes after final layer")
     return DecisionModel(tuple(layers))
+
+
+def load_weights(path) -> DecisionModel:
+    with open(path, "rb") as fh:
+        return weights_from_bytes(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -43,10 +44,17 @@ def build_small_world(seed: int = 42, **overrides) -> World:
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail any test that returns with a child process still alive."""
+    """Fail any test that returns with a child process still alive, or
+    exited but not reaped.  ``waitid`` also sees children made with a bare
+    ``os.fork``, which ``multiprocessing`` does not know of."""
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes left running: {left}"
+    try:
+        child = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process left running or unreaped: {child or 'still running'}")
 
 
 @pytest.fixture(scope="session")

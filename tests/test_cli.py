@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -371,6 +372,20 @@ class TestInputErrors:
         assert code == 2
         assert "Traceback" not in err
         assert re.fullmatch(r"(config )?error: .+\n", err)
+
+    def test_non_finite_weight_file_exits_1(self, tmp_path, capfd):
+        weights = tmp_path / "nan.bin"
+        assert dispatch(["train", "--users", "4", "--resources", "4", "--epochs", "2",
+                         "--out", str(weights)]) == 0
+        blob = bytearray(weights.read_bytes())
+        blob[15:19] = struct.pack("<f", float("nan"))  # layer 0's first weight
+        weights.write_bytes(bytes(blob))
+        capfd.readouterr()
+        code = dispatch(["bench", "--engine", "dlbac", "--weights", str(weights), "--n", "10"])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == "error: layer 0 holds a non-finite parameter\n"
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_exits_2(self, tmp_path, capfd, lr):

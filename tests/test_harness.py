@@ -20,6 +20,19 @@ from authchain.model import OPERATIONS
 from conftest import IDENTITY_KEY, UNIVERSAL_SIG, build_small_world
 
 
+def chain_txs(chain, kind: str, user_pk: bytes | None = None) -> list:
+    """The chain's transactions of one kind, in chain order; with
+    ``user_pk``, only those naming that user (a link names its recipient)."""
+    out = []
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if tx.kind != kind:
+                continue
+            if user_pk is None or (tx.recipient if kind == "link" else tx.user_pk) == user_pk:
+                out.append(tx)
+    return out
+
+
 def granting_cases(world, count: int):
     """Distinct (user, resource, op) triples the model grants."""
     cases = []
@@ -95,15 +108,13 @@ class TestRunRequest:
     def test_allowed_leaves_exactly_one_storage_tx(self):
         world = build_small_world(seed=3)
         user_index, resource_id, op = H.find_case(world, want_grant=True)
-        before = len(ledger.query_history(world.chain, kind="storage"))
+        before = len(chain_txs(world.chain, "storage"))
         outcome = H.run_request(world, user_index, resource_id, op)
         assert outcome.allowed
-        storage_txs = ledger.query_history(
-            world.chain, user_pk=world.users[user_index].public_key, kind="storage"
-        )
-        assert len(ledger.query_history(world.chain, kind="storage")) == before + 1
+        storage_txs = chain_txs(world.chain, "storage", world.users[user_index].public_key)
+        assert len(chain_txs(world.chain, "storage")) == before + 1
         redeemed = {link.nonce for link in world.storage_node.links.values() if link.redeemed}
-        assert redeemed == {tx.nonce for _, tx in storage_txs}
+        assert redeemed == {tx.nonce for tx in storage_txs}
 
     def test_full_workflow_transaction_counts(self):
         world = build_small_world(seed=3)
@@ -112,7 +123,7 @@ class TestRunRequest:
         height = world.chain.height
         outcome = H.run_request(world, user_index, resource_id, op)
         for kind in ("accreq", "link", "storage"):
-            matches = ledger.query_history(world.chain, user_pk=user_pk, kind=kind)
+            matches = chain_txs(world.chain, kind, user_pk)
             assert len(matches) == 1, kind
         # three blocks, one transaction each
         assert outcome.heights == (height, height + 1, height + 2) and world.chain.height == height + 3
@@ -161,11 +172,11 @@ class TestRunRequest:
         world = build_small_world(seed=3)
         user_index, resource_id, op = H.find_case(world, want_grant=False)
         records_before = len(world.storage_node.log)
-        storage_before = len(ledger.query_history(world.chain, kind="storage"))
+        storage_before = len(chain_txs(world.chain, "storage"))
         outcome = H.run_request(world, user_index, resource_id, op)
         assert outcome.verdict == "denied:model-denied"
         assert len(world.storage_node.log) == records_before + 1
-        assert len(ledger.query_history(world.chain, kind="storage")) == storage_before
+        assert len(chain_txs(world.chain, "storage")) == storage_before
 
     def test_wrong_resource_denied(self, fresh_world):
         outcome = H.run_request(fresh_world, 0, 424242, "read")
@@ -222,10 +233,7 @@ class TestRunRequest:
         world = build_small_world(seed=3)
         H.run_request(world, 0, 424242, "read")
         record = world.storage_node.log.records[-1]
-        accreqs = ledger.query_history(
-            world.chain, user_pk=world.users[0].public_key, kind="accreq"
-        )
-        _, tx = accreqs[-1]
+        tx = chain_txs(world.chain, "accreq", world.users[0].public_key)[-1]
         assert record.tx_bytes == ledger.tx_canonical_bytes(tx)
 
 
@@ -440,9 +448,7 @@ class TestBanPathway:
             H.run_request(world, 4, 10**6, "read")
         subject = crypto.hash_bytes(world.users[4].public_key).hex()
         counts = dict((s, n) for s, n, _ in H.find_malicious_users(world))
-        on_chain = ledger.query_history(
-            world.chain, user_pk=world.users[4].public_key, kind="accreq"
-        )
+        on_chain = chain_txs(world.chain, "accreq", world.users[4].public_key)
         assert counts[subject] == len(on_chain) == 2
 
     def test_repeated_denials_of_a_banned_subject_skip_the_ban_check(self, monkeypatch):

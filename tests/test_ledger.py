@@ -817,39 +817,6 @@ class TestParallelValidation:
         assert pooled == []
 
 
-class TestQueryHistory:
-    def test_unknown_pk_empty(self):
-        chain, _ = build_chain_with_users()
-        assert ledger.query_history(chain, user_pk=kp("ghost").public_key) == []
-
-    def test_kind_filter(self):
-        chain, _ = build_chain_with_users(n_blocks=4)
-        setups = ledger.query_history(chain, kind="setup")
-        assert len(setups) == len(USERS)
-        accreqs = ledger.query_history(chain, kind="accreq")
-        assert all(tx.kind == "accreq" for _, tx in accreqs)
-
-    def test_union_of_per_user_queries_is_all_accreqs(self):
-        chain, _ = build_chain_with_users(n_blocks=5)
-        every = ledger.query_history(chain, kind="accreq")
-        union = []
-        for user in USERS:
-            union.extend(ledger.query_history(chain, user_pk=user.public_key, kind="accreq"))
-        assert sorted(ledger.tx_digest(t) for _, t in union) == sorted(
-            ledger.tx_digest(t) for _, t in every
-        )
-
-    def test_resource_filter(self):
-        chain, _ = build_chain_with_users(n_blocks=4)
-        for height, tx in ledger.query_history(chain, resource_id=1):
-            assert tx.resource_id == 1
-
-    def test_unknown_kind_rejected(self):
-        chain, _ = build_chain_with_users()
-        with pytest.raises(ValueError):
-            ledger.query_history(chain, kind="bogus")
-
-
 class TestPersistence:
     def test_round_trip_preserves_bytes(self, tmp_path):
         chain, _ = build_chain_with_users(n_blocks=5)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -251,6 +254,131 @@ class TestGradientCheck:
         )
 
 
+def fork_calls(monkeypatch) -> list[int]:
+    """Record each ``os.fork`` the model makes, and let it go ahead."""
+    calls: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(M.os, "fork", fork)
+    return calls
+
+
+class TestSharedPasses:
+    """Training, inference, accuracy and gradient checks share one forward
+    pass and one gradient routine that write into arrays allocated once."""
+
+    def test_buffers_reused_across_calls_give_fresh_results(self):
+        rng = np.random.default_rng(3)
+        inputs = rng.integers(0, 2, size=(20, 64)).astype(np.float64)
+        labels = rng.integers(0, 2, size=(20, 4)).astype(np.float64)
+        first, second = seeded_model(1).layers, seeded_model(2).layers
+        activations = M._activations(first, inputs)
+        backward = M._Backward(first, 20)
+        M._raw_gradients(first, activations, labels, backward)
+        reused = M._raw_gradients(second, activations, labels, backward)
+        fresh = M._raw_gradients(
+            second, M._activations(second, inputs), labels, M._Backward(second, 20)
+        )
+        for (rw, rb), (fw, fb) in zip(reused, fresh):
+            assert np.array_equal(rw, fw) and np.array_equal(rb, fb)
+
+    def test_batch_gradient_is_the_mean_of_row_gradients(self):
+        layers = seeded_model(1001).layers
+        rng = np.random.default_rng(4)
+        inputs = rng.integers(0, 2, size=(6, 64)).astype(np.float64)
+        labels = rng.integers(0, 2, size=(6, 4)).astype(np.float64)
+
+        def gradients(rows: slice):
+            x = inputs[rows]
+            return M._raw_gradients(
+                layers, M._activations(layers, x), labels[rows], M._Backward(layers, len(x))
+            )
+
+        batch = gradients(slice(None))
+        rows = [gradients(slice(r, r + 1)) for r in range(6)]
+        for layer, (gw, gb) in enumerate(batch):
+            assert np.allclose(gw, np.mean([row[layer][0] for row in rows], axis=0), atol=1e-12)
+            assert np.allclose(gb, np.mean([row[layer][1] for row in rows], axis=0), atol=1e-12)
+
+    def test_gradient_check_passes_on_a_trained_model(self):
+        ds = M.generate_dataset(6, 6, seed=2)
+        net = M.train(ds, Config(seed=2, epochs=40))
+        for t in ds.train[:3]:
+            sample = (M.encode_pair(t.user_attrs, t.resource_attrs), t.labels)
+            assert M.gradient_check(net, sample) < 1e-4
+
+    def test_accuracy_matches_per_tuple_inference(self):
+        ds = M.generate_dataset(8, 5, seed=6)
+        net = M.train(ds, Config(seed=6, epochs=30))
+        hits = [
+            got == want
+            for t in ds.test
+            for got, want in zip(
+                M.threshold_decide(M.infer(net, M.encode_pair(t.user_attrs, t.resource_attrs))),
+                t.labels,
+            )
+        ]
+        assert M.accuracy(net, ds.test) == sum(hits) / len(hits)
+
+
+class TestTrainingChild:
+    """``train`` fits in a forked child that hands the model back in the
+    weight-file format; the child is always reaped."""
+
+    @pytest.mark.parametrize(
+        "users, resources, seed", [(30, 12, 0), (30, 12, 1), (30, 12, 2), (100, 50, 1)]
+    )
+    def test_child_and_in_process_weights_are_byte_identical(
+        self, monkeypatch, users, resources, seed
+    ):
+        ds = M.generate_dataset(users, resources, seed)
+        config = Config(seed=seed)
+        forks = fork_calls(monkeypatch)
+        from_child = M.train(ds, config)
+        assert forks == [os.getpid()]
+        assert M.weights_to_bytes(from_child) == M.weights_to_bytes(M._fit(ds, config))
+
+    def test_another_thread_alive_trains_in_process(self, monkeypatch):
+        ds = M.generate_dataset(10, 6, seed=3)
+        config = Config(seed=3, epochs=60)
+        expected = M.weights_to_bytes(M.train(ds, config))
+        forks = fork_calls(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = M.weights_to_bytes(M.train(ds, config))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert forks == []
+        assert got == expected
+
+    def test_failure_in_the_child_is_raised_and_the_child_reaped(self, monkeypatch):
+        def diverge(*args):
+            raise FloatingPointError("loss diverged")
+
+        monkeypatch.setattr(M, "_raw_gradients", diverge)
+        forks = fork_calls(monkeypatch)
+        with pytest.raises(FloatingPointError, match="loss diverged") as caught:
+            M.train(M.generate_dataset(4, 4, seed=1), Config(seed=1, epochs=5))
+        assert len(forks) == 1
+        assert "raised in the training child" in "".join(caught.value.__notes__)
+        with pytest.raises(ChildProcessError):
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+    def test_child_that_dies_without_a_model(self, monkeypatch):
+        monkeypatch.setattr(M, "_fit", lambda dataset, config: os._exit(3))
+        with pytest.raises(RuntimeError, match="status 3 and no model"):
+            M.train(M.generate_dataset(4, 4, seed=1), Config(seed=1, epochs=5))
+        with pytest.raises(ChildProcessError):
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
 class TestWeightsFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         net = seeded_model(7)
@@ -296,6 +424,23 @@ class TestWeightsFile:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(FormatError):
             M.load_weights(path)
+
+    def test_file_bytes_are_the_bytes_helper(self, tmp_path):
+        net = seeded_model(3)
+        path = tmp_path / "weights.bin"
+        M.save_weights(net, path)
+        assert path.read_bytes() == M.weights_to_bytes(net)
+        assert M.weights_from_bytes(path.read_bytes()) == net
+
+    # header 7 bytes, then layer 0's row/column counts: its first weight
+    # starts at 15 and its first bias at 15 + 32 * 64 * 4
+    @pytest.mark.parametrize("offset", [15, 15 + 32 * 64 * 4])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter(self, offset, value):
+        blob = bytearray(M.weights_to_bytes(seeded_model(4)))
+        blob[offset : offset + 4] = struct.pack("<f", value)
+        with pytest.raises(FormatError, match="layer 0 holds a non-finite parameter"):
+            M.weights_from_bytes(bytes(blob))
 
 
 # Independent re-evaluation of the hidden rule set, plain loops.
