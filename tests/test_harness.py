@@ -546,21 +546,116 @@ class TestCryptoCounts:
             assert H.run_request(world, *case).verdict == verdict
             assert (counts["verify"], counts["sign"]) == expected, verdict
 
-    def test_ed25519_verifications_per_request(self):
-        # authenticate re-checks the signature admission checked; the
-        # verdict cache answers it, so only distinct signatures are verified
+    # libsodium function -> the cost column it counts
+    SODIUM_COLUMNS = {
+        "crypto_sign_verify_detached": "verify",
+        "crypto_sign_detached": "sign",
+        "crypto_scalarmult_curve25519_base": "x25519",
+        "crypto_scalarmult_curve25519": "x25519",
+        "crypto_aead_chacha20poly1305_ietf_encrypt": "aead",
+        "crypto_aead_chacha20poly1305_ietf_decrypt": "aead",
+    }
+
+    # class -> (Ed25519 verifications, signs, X25519, AEAD, blocks mined,
+    # chain bytes added), run in this order on one setup_world(3, 30, 12, 0)
+    COSTS = {
+        "grant": (6, 6, 3, 2, 3, 2985),
+        "model-denied": (2, 2, 0, 0, 1, 914),
+        "policy-denied": (2, 2, 0, 0, 1, 913),
+        "wrong-resource": (2, 2, 0, 0, 1, 919),
+        "outsider": (2, 2, 1, 0, 1, 913),
+        "replayed request": (0, 0, 0, 0, 0, 0),
+        "reused link": (0, 0, 0, 0, 0, 0),
+    }
+
+    def test_cost_per_request_class(self, monkeypatch):
+        # Counted at the libsodium calls, so a signature the verdict cache
+        # answers costs nothing: authenticate's re-check of the request, and
+        # the replayed request, whose signature was checked on its first run.
+        # X25519: a grant's link encryption (2) and the user's decryption of
+        # it (1); an outsider's key derivation (1).
+        crypto._x25519_public.cache_clear()  # before setup, so only the outsider's key is new
         world = H.setup_world(3, 30, 12, seed=0)
-        cases = {
-            "allowed": (H.find_case(world, want_grant=True), 6),
-            "denied:model-denied": (H.find_case(world, want_grant=False), 2),
-            "denied:wrong-resource": ((0, 10**6, "read"), 2),
-            "denied:unauthenticated": ((len(world.users), 0, "read"), 2),
-        }
         crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
-        for verdict, (case, expected) in cases.items():
-            misses = crypto._ed25519_verdict.cache_info().misses
-            assert H.run_request(world, *case).verdict == verdict
-            assert crypto._ed25519_verdict.cache_info().misses - misses == expected, verdict
+        counts = Counter()
+        for name, column in self.SODIUM_COLUMNS.items():
+            inner = getattr(crypto._sodium, name)
+
+            def counted(*args, _inner=inner, _column=column):
+                counts[_column] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(crypto._sodium, name, counted)
+
+        grant_case = H.find_case(world, want_grant=True)
+        grant_user = world.users[grant_case[0]]
+        grant_subject = ledger.subject_id(grant_user.public_key)
+        policy_case = H.find_case(world, want_grant=True, skip={grant_case[:2]})
+        policy_subject = ledger.subject_id(world.users[policy_case[0]].public_key)
+        link_material = {}
+
+        def grant():
+            outcome = H.run_request(world, *grant_case)
+            heights = outcome.heights
+            link_material["accreq"] = world.chain.blocks[heights[0]].transactions[0]
+            link_material["link"] = world.chain.blocks[heights[1]].transactions[0]
+            return outcome.verdict
+
+        def policy_denied():
+            world.rules.add(
+                PriorityRule(
+                    ordinal=world.rules.next_ordinal(),
+                    subject=policy_subject,
+                    resource=str(policy_case[1]),
+                    operations=tuple(name == policy_case[2] for name in OPERATIONS),
+                    effect=DENY,
+                )
+            )
+            return H.run_request(world, *policy_case).verdict
+
+        def replayed_request():
+            return f"denied:{H._admit(world, grant_subject, link_material['accreq']).reason.value}"
+
+        def reused_link():
+            world.clock.tick(1)
+            second = world.storage_node.redeem_link(
+                *link_material["note"], world.now(), block_height=world.chain.height
+            )
+            return f"denied:{H._deny(world, grant_subject, second).reason.value}"
+
+        rows = {
+            "grant": (grant, "allowed"),
+            "model-denied": (
+                lambda: H.run_request(world, *H.find_case(world, want_grant=False)).verdict,
+                "denied:model-denied",
+            ),
+            "policy-denied": (policy_denied, "denied:policy-denied"),
+            "wrong-resource": (
+                lambda: H.run_request(world, 0, 10**6, "read").verdict, "denied:wrong-resource"
+            ),
+            "outsider": (
+                lambda: H.run_request(world, len(world.users), 0, "read").verdict,
+                "denied:unauthenticated",
+            ),
+            "replayed request": (replayed_request, "denied:replay"),
+            "reused link": (reused_link, "denied:replay"),
+        }
+        assert list(rows) == list(self.COSTS)
+        observed = {}
+        for name, (run, verdict) in rows.items():
+            if name == "reused link":  # the user reads its note before the row
+                link_material["note"] = S.read_link_note(
+                    grant_user.secret_key, link_material["link"]
+                )
+            counts.clear()
+            start = world.chain.height
+            assert run() == verdict, name
+            observed[name] = (
+                counts["verify"], counts["sign"], counts["x25519"], counts["aead"],
+                world.chain.height - start,
+                sum(len(ledger.block_canonical_bytes(b)) + 1 for b in world.chain.blocks[start:]),
+            )
+        assert observed == self.COSTS
 
     @pytest.mark.parametrize(
         "n_users, batch_size",
