@@ -134,16 +134,6 @@ class PriorityRule:
             "effect": self.effect,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorityRule":
-        return cls(
-            ordinal=int(d["ordinal"]),
-            subject=str(d["subject"]),
-            resource=str(d["resource"]),
-            operations=tuple(bool(o) for o in d["operations"]),
-            effect=str(d["effect"]),
-        )
-
 
 class RuleStore:
     """Ordered priority rules plus the set of banned user key hashes."""
@@ -183,12 +173,6 @@ class RuleStore:
             "rules": [r.to_dict() for r in self._rules],
             "banned": sorted(self.banned),
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RuleStore":
-        store = cls(tuple(PriorityRule.from_dict(d) for d in state.get("rules", [])))
-        store.banned = set(state.get("banned", []))
-        return store
 
 
 # ---------------------------------------------------------------------------

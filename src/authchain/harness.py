@@ -573,7 +573,6 @@ def _tamper_wrong_validator(world: World) -> tuple[bool, str]:
             tx_root=merkle_root([]),
             transactions=(),
             timestamp=world.now(),
-            proposer=wrong.public_key,
         ),
         wrong,
     )

@@ -12,7 +12,14 @@ tuples, strings, bools, ``None`` and integers in ``CANONICAL_INT_MIN`` ..
 Consensus is proof-of-authority realized as a round-robin proposer
 schedule: the validator at index ``height mod v`` signs the block at that
 height, and every block is re-verified on receipt.  There are no view
-changes or forks; the chain is a single-writer, append-only list.
+changes or forks; the chain is a single-writer, append-only list.  A block
+is never dated before its parent.
+
+No signer key is carried on chain where the chain already names it: a
+block's signer is the validator the genesis schedule names for its height,
+a setup transaction's is the genesis admin key, and a link's or storage
+record's is the genesis storage key; only an access request carries its
+signer, the requesting user.
 
 Chain memory ``M`` is the key-value state derived purely from applying
 blocks: ``user/<pk-hash>`` records registered users (written by setup
@@ -40,7 +47,7 @@ ZERO_DIGEST = b"\x00" * crypto.DIGEST_SIZE
 # the chain format, written into the genesis payload as "format"; a genesis
 # with no format or any other value is invalid, so a chain of an older
 # format is refused rather than misread
-CHAIN_FORMAT = 1
+CHAIN_FORMAT = 2
 
 # (public_key, message, signature) -> verdict; crypto.verify_sig by default
 SignatureCheck = Callable[[bytes, bytes, bytes], bool]
@@ -135,10 +142,9 @@ def merkle_root(digests: list[bytes]) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class SetupTx:
-    """Registration of a user by the admin (carries the user's metadata)."""
+    """Registration of a user by the genesis admin (carries its metadata)."""
 
     kind: ClassVar[str] = "setup"
-    admin_pk: bytes
     user_pk: bytes
     metadata: tuple[int, ...]
     timestamp: int
@@ -147,7 +153,6 @@ class SetupTx:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "admin_pk": self.admin_pk.hex(),
             "user_pk": self.user_pk.hex(),
             "metadata": list(self.metadata),
             "timestamp": self.timestamp,
@@ -257,7 +262,6 @@ def tx_from_dict(d: dict) -> Transaction:
         kind = d["kind"]
         if kind == "setup":
             return SetupTx(
-                admin_pk=bytes.fromhex(d["admin_pk"]),
                 user_pk=bytes.fromhex(d["user_pk"]),
                 metadata=tuple(int(a) for a in d["metadata"]),
                 timestamp=int(d["timestamp"]),
@@ -294,7 +298,6 @@ def tx_from_dict(d: dict) -> Transaction:
 def make_setup(admin: crypto.KeyPair, user_pk: bytes, metadata, timestamp: int) -> SetupTx:
     return signed(
         SetupTx(
-            admin_pk=admin.public_key,
             user_pk=user_pk,
             metadata=check_metadata(metadata),
             timestamp=timestamp,
@@ -341,7 +344,6 @@ class Block:
     tx_root: bytes
     transactions: tuple[Transaction, ...]
     timestamp: int
-    proposer: bytes
     payload: dict | None = None  # genesis configuration, height 0 only
     sig: bytes = b""
 
@@ -352,7 +354,6 @@ class Block:
             "tx_root": self.tx_root.hex(),
             "transactions": [t.to_dict() for t in self.transactions],
             "timestamp": self.timestamp,
-            "proposer": self.proposer.hex(),
             "payload": self.payload,
             "sig": self.sig.hex(),
         }
@@ -374,7 +375,6 @@ def block_from_dict(d: dict) -> Block:
             tx_root=bytes.fromhex(d["tx_root"]),
             transactions=tuple(tx_from_dict(t) for t in d["transactions"]),
             timestamp=int(d["timestamp"]),
-            proposer=bytes.fromhex(d["proposer"]),
             payload=d.get("payload"),
             sig=bytes.fromhex(d["sig"]),
         )
@@ -509,7 +509,6 @@ def genesis(
         tx_root=merkle_root([]),
         transactions=(),
         timestamp=timestamp,
-        proposer=proposer.public_key,
         payload=payload,
     )
     block = signed(block, proposer)
@@ -568,33 +567,31 @@ def check_tx(
     Setup transactions by the genesis admin (and with valid metadata),
     access requests by the requesting user, links and storage records by
     the genesis storage key; anything else is ``unknown-kind``, whoever
-    signs the block carrying it.  Returns ``not-admin``,
-    ``bad-signature``, ``malformed`` or ``unknown-kind``, or None when
-    the transaction passes.  Admission and block validation both apply
-    it.  ``verify`` checks each signature; the default is
-    ``crypto.verify_sig``, looked up on every call.
+    signs the block carrying it.  Returns ``bad-signature``, ``malformed``
+    or ``unknown-kind``, or None when the transaction passes.  Admission
+    and block validation both apply it.  ``verify`` checks each
+    signature; the default is ``crypto.verify_sig``, looked up on every
+    call.
     """
     verify = verify or crypto.verify_sig
-    if isinstance(tx, SetupTx):
-        if tx.admin_pk.hex() != genesis_payload.get("admin_pk"):
-            return "not-admin"
-        if not verify(tx.admin_pk, signing_bytes(tx), tx.sig):
+    if isinstance(tx, AccReqTx):
+        signer = tx.user_pk
+    elif isinstance(tx, (SetupTx, LinkTx, StorageTx)):
+        try:
+            signer = bytes.fromhex(
+                genesis_payload.get("admin_pk" if isinstance(tx, SetupTx) else "storage_pk")
+            )
+        except (TypeError, ValueError):  # the genesis names no such key, or not in hex
             return "bad-signature"
+    else:
+        return "unknown-kind"
+    if not verify(signer, signing_bytes(tx), tx.sig):
+        return "bad-signature"
+    if isinstance(tx, SetupTx):
         try:
             check_metadata(tx.metadata)
         except ValueError:
             return "malformed"
-    elif isinstance(tx, AccReqTx):
-        if not verify(tx.user_pk, signing_bytes(tx), tx.sig):
-            return "bad-signature"
-    elif isinstance(tx, (LinkTx, StorageTx)):
-        storage_hex = genesis_payload.get("storage_pk")
-        if not storage_hex or not verify(
-            bytes.fromhex(storage_hex), signing_bytes(tx), tx.sig
-        ):
-            return "bad-signature"
-    else:
-        return "unknown-kind"
     return None
 
 
@@ -638,7 +635,6 @@ def produce_block(
         tx_root=merkle_root([tx_digest(t) for t in transactions]),
         transactions=transactions,
         timestamp=timestamp,
-        proposer=proposer.public_key,
     )
     return signed(block, proposer)
 
@@ -646,10 +642,11 @@ def produce_block(
 def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
     """Full structural check of a candidate for the chain's next height,
     a pure function of the chain and the block; a genesis must carry
-    ``CHAIN_FORMAT``, every transaction must meet :func:`check_tx`, and
-    no access request may carry a nonce that is already on the chain or
-    repeats within the block.  ``verify`` checks each signature, as in
-    :func:`check_tx`."""
+    ``CHAIN_FORMAT``, a later block must be signed by the validator
+    scheduled for its height and dated no earlier than its parent, every
+    transaction must meet :func:`check_tx`, and no access request may
+    carry a nonce that is already on the chain or repeats within the
+    block.  ``verify`` checks each signature, as in :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return False
@@ -668,8 +665,6 @@ def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = N
             return False
         if block.prev_hash != ZERO_DIGEST or block.transactions:
             return False
-        if block.proposer != validators.scheduled(0):
-            return False
     else:
         if block.payload is not None:
             return False
@@ -679,14 +674,14 @@ def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = N
             return False
         if block.prev_hash != chain.tip_hash():
             return False
-        if block.proposer != validators.scheduled(block.height):
+        if block.timestamp < chain.blocks[-1].timestamp:
             return False
     if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
         return False
     nonces = [tx.nonce for tx in block.transactions if isinstance(tx, AccReqTx)]
     if len(set(nonces)) != len(nonces) or any(chain.nonce_seen(n) for n in nonces):
         return False
-    if not verify(block.proposer, signing_bytes(block), block.sig):
+    if not verify(validators.scheduled(block.height), signing_bytes(block), block.sig):
         return False
     payload = block.payload if block.height == 0 else chain.genesis_payload
     return all(check_tx(payload, tx, verify) is None for tx in block.transactions)

@@ -1,11 +1,13 @@
 """Storage entity: resource custody, access links, malicious-activity log.
 
 A granted decision turns into a single-use access link: a fresh 32-byte
-token plus a fresh 16-byte nonce, encrypted under the requesting user's
-public key and signed by storage.  Redemption is check-and-mark atomic;
-a redeemed link, a nonce that is not the link's, an unknown token, or an
-expired link is denied and logged.  Each link keeps its redeemed flag in
-the storage state, so replay protection survives a restart.
+token plus a fresh 16-byte nonce.  Their 48 raw bytes, token then nonce,
+are the link note, encrypted under the requesting user's public key and
+carried in a link transaction signed by storage.  Redemption is
+check-and-mark atomic; a redeemed link, a nonce that is not the link's,
+an unknown token, or an expired link is denied and logged.  Each link
+keeps its redeemed flag in the storage state, so replay protection
+survives a restart.
 
 Every denial anywhere in the pipeline becomes one record in the
 malicious-activity log.  Records roll into a tamper-evident chain of
@@ -28,8 +30,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import orjson
-
 from . import crypto
 from .contracts import BAN_COUNTED_REASONS, AccessList, Denial, DenialReason
 from .errors import DecryptError, FormatError
@@ -51,6 +51,7 @@ DEFAULT_LINK_TTL = 120  # seconds, matches the global freshness window
 DEFAULT_BAN_THRESHOLD = 3
 DEFAULT_BAN_WINDOW = 600  # seconds
 TOKEN_SIZE = 32
+LINK_NOTE_SIZE = TOKEN_SIZE + crypto.NONCE_SIZE  # token, then nonce
 
 UNKNOWN_SUBJECT = "unknown"
 
@@ -369,7 +370,7 @@ class StorageNode:
         rng: crypto.RandomSource,
         block_height: int = 0,
     ) -> LinkTx | Denial:
-        """Encrypt a fresh (token, nonce, time) note under the user's key;
+        """Encrypt a fresh token‖nonce note under the user's key;
         :func:`read_link_note` reads it back.
 
         Refuses, and logs, a decision that does not actually grant the
@@ -417,10 +418,7 @@ class StorageNode:
                 expiry=now + self.link_ttl,
             )
             self.links[token] = link
-            payload = canonical_bytes(
-                {"link": token.hex(), "nonce": nonce.hex(), "time": now}
-            )
-            ciphertext = crypto.encrypt(user_pk, payload, rng)
+            ciphertext = crypto.encrypt(user_pk, token + nonce, rng)
             return make_link(self.keypair, user_pk, ciphertext, now)
 
     def redeem_link(
@@ -512,9 +510,11 @@ class StorageNode:
 def read_link_note(secret_key: bytes, link_tx: LinkTx) -> tuple[bytes, bytes]:
     """The (token, nonce) that :meth:`StorageNode.issue_link` encrypted
     for the link's recipient; :class:`FormatError` for a note this key
-    cannot decrypt or that does not parse."""
+    cannot decrypt or that is not ``LINK_NOTE_SIZE`` bytes."""
     try:
-        note = orjson.loads(crypto.decrypt(secret_key, link_tx.ciphertext))
-        return bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"])
-    except (DecryptError, KeyError, TypeError, ValueError) as exc:
+        note = crypto.decrypt(secret_key, link_tx.ciphertext)
+    except DecryptError as exc:
         raise FormatError(f"unreadable link note: {exc}") from exc
+    if len(note) != LINK_NOTE_SIZE:
+        raise FormatError(f"unreadable link note: {len(note)} bytes, not {LINK_NOTE_SIZE}")
+    return note[:TOKEN_SIZE], note[TOKEN_SIZE:]

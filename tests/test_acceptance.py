@@ -147,7 +147,6 @@ def test_criterion_4_chain_immutability():
                 tx_root=ledger.merkle_root([]),
                 transactions=(),
                 timestamp=clock.now(),
-                proposer=validator.public_key,
             )
             rogue = ledger.Block(
                 height=rogue.height,
@@ -155,7 +154,6 @@ def test_criterion_4_chain_immutability():
                 tx_root=rogue.tx_root,
                 transactions=rogue.transactions,
                 timestamp=rogue.timestamp,
-                proposer=rogue.proposer,
                 sig=crypto.sign(validator.secret_key, ledger.signing_bytes(rogue)),
             )
             assert not ledger.validate_block(world.chain, rogue)

@@ -213,12 +213,13 @@ class TestWorldCommands:
         assert capsys.readouterr().out.startswith("chain INVALID")
 
     def test_verify_chain_refuses_the_format_before_chain_format(self, tmp_path, capsys):
-        # a chain of the older format: no "format" in genesis, and an
-        # unsigned "verified" hand-off mined beside each decision's next step
+        # format 0: no "format" in genesis, and an unsigned "verified"
+        # hand-off mined beside each decision's next step
         report = str(tmp_path / "reports.json")
         assert dispatch(["scenario", "--all", *WORLD_FLAGS, *world_files(tmp_path), "--report", report]) == 0
         chain_file = tmp_path / "chain.jsonl"
-        blocks = [json.loads(line) for line in chain_file.read_bytes().splitlines()]
+        written = chain_file.read_bytes().splitlines()
+        blocks = [json.loads(line) for line in written]
         del blocks[0]["payload"]["format"]
         last = blocks[-1]["transactions"]
         last.append({"kind": "verified", "timestamp": last[0]["timestamp"], "user_bits": "0" * 32,
@@ -232,6 +233,20 @@ class TestWorldCommands:
         chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks[:-1]) + b"\n")
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
         assert capsys.readouterr().out == "chain INVALID: validation failed\n"
+
+        # format 1: each block names its proposer and each setup its admin
+        blocks = [json.loads(line) for line in written]
+        genesis = blocks[0]["payload"]
+        genesis["format"] = 1
+        validators = genesis["validators"]
+        for block in blocks:
+            block["proposer"] = validators[block["height"] % len(validators)]
+            for tx in block["transactions"]:
+                if tx["kind"] == "setup":
+                    tx["admin_pk"] = genesis["admin_pk"]
+        chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks) + b"\n")
+        assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
+        assert capsys.readouterr().out == "chain INVALID: chain line 1: non-canonical encoding\n"
 
     def test_scenario_all_passes_and_verifies(self, tmp_path, capsys):
         report = tmp_path / "reports.json"

@@ -293,13 +293,3 @@ class TestRegisterBan:
         after = authorize_simple(GRANT_ALL, rules=rules)
         assert isinstance(before, C.AccessList) and isinstance(after, C.AccessList)
         assert before.grants == after.grants
-
-
-class TestRuleStorePersistence:
-    def test_state_round_trip(self):
-        rules = C.RuleStore()
-        rules.add(C.PriorityRule(5, "s", "*", (False, True, False, True), C.ALLOW))
-        C.register_ban(rules, "bad-actor")
-        restored = C.RuleStore.from_state(rules.to_state())
-        assert restored.rules == rules.rules
-        assert restored.banned == rules.banned

@@ -559,11 +559,11 @@ class TestCryptoCounts:
     # class -> (Ed25519 verifications, signs, X25519, AEAD, blocks mined,
     # chain bytes added), run in this order on one setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2985),
-        "model-denied": (2, 2, 0, 0, 1, 914),
-        "policy-denied": (2, 2, 0, 0, 1, 913),
-        "wrong-resource": (2, 2, 0, 0, 1, 919),
-        "outsider": (2, 2, 1, 0, 1, 913),
+        "grant": (6, 6, 3, 2, 3, 2383),
+        "model-denied": (2, 2, 0, 0, 1, 772),
+        "policy-denied": (2, 2, 0, 0, 1, 771),
+        "wrong-resource": (2, 2, 0, 0, 1, 777),
+        "outsider": (2, 2, 1, 0, 1, 771),
         "replayed request": (0, 0, 0, 0, 0, 0),
         "reused link": (0, 0, 0, 0, 0, 0),
     }
@@ -588,65 +588,42 @@ class TestCryptoCounts:
             monkeypatch.setattr(crypto._sodium, name, counted)
 
         grant_case = H.find_case(world, want_grant=True)
-        grant_user = world.users[grant_case[0]]
-        grant_subject = ledger.subject_id(grant_user.public_key)
-        policy_case = H.find_case(world, want_grant=True, skip={grant_case[:2]})
-        policy_subject = ledger.subject_id(world.users[policy_case[0]].public_key)
-        link_material = {}
+        grant_subject = ledger.subject_id(world.users[grant_case[0]].public_key)
+        mined = []
 
         def grant():
             outcome = H.run_request(world, *grant_case)
-            heights = outcome.heights
-            link_material["accreq"] = world.chain.blocks[heights[0]].transactions[0]
-            link_material["link"] = world.chain.blocks[heights[1]].transactions[0]
+            mined.append(world.chain.blocks[outcome.heights[0]].transactions[0])
             return outcome.verdict
 
-        def policy_denied():
-            world.rules.add(
-                PriorityRule(
-                    ordinal=world.rules.next_ordinal(),
-                    subject=policy_subject,
-                    resource=str(policy_case[1]),
-                    operations=tuple(name == policy_case[2] for name in OPERATIONS),
-                    effect=DENY,
-                )
-            )
-            return H.run_request(world, *policy_case).verdict
+        def scenario(scenario_id):
+            return lambda: H.run_scenario(world, scenario_id).observed
 
         def replayed_request():
-            return f"denied:{H._admit(world, grant_subject, link_material['accreq']).reason.value}"
+            return f"denied:{H._admit(world, grant_subject, mined[0]).reason.value}"
 
         def reused_link():
+            link = list(world.storage_node.links.values())[-1]  # the grant's, as its user read it
             world.clock.tick(1)
             second = world.storage_node.redeem_link(
-                *link_material["note"], world.now(), block_height=world.chain.height
+                link.token, link.nonce, world.now(), block_height=world.chain.height
             )
             return f"denied:{H._deny(world, grant_subject, second).reason.value}"
 
         rows = {
             "grant": (grant, "allowed"),
-            "model-denied": (
-                lambda: H.run_request(world, *H.find_case(world, want_grant=False)).verdict,
-                "denied:model-denied",
-            ),
-            "policy-denied": (policy_denied, "denied:policy-denied"),
+            "model-denied": (scenario(2), "denied:model-denied"),
+            "policy-denied": (scenario(3), "denied:policy-denied"),  # a DENY rule on the grant's pair
             "wrong-resource": (
                 lambda: H.run_request(world, 0, 10**6, "read").verdict, "denied:wrong-resource"
             ),
-            "outsider": (
-                lambda: H.run_request(world, len(world.users), 0, "read").verdict,
-                "denied:unauthenticated",
-            ),
+            "outsider": (scenario(1), "denied:unauthenticated"),
             "replayed request": (replayed_request, "denied:replay"),
             "reused link": (reused_link, "denied:replay"),
         }
         assert list(rows) == list(self.COSTS)
         observed = {}
         for name, (run, verdict) in rows.items():
-            if name == "reused link":  # the user reads its note before the row
-                link_material["note"] = S.read_link_note(
-                    grant_user.secret_key, link_material["link"]
-                )
             counts.clear()
             start = world.chain.height
             assert run() == verdict, name
@@ -708,7 +685,7 @@ class TestArtifacts:
         paths = [tmp_path / name for name in ("chain.jsonl", "state.json", "log.jsonl")]
         H.save_world_artifacts(world, *paths)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
-            "57971c3c65d3f73e8d6e783b83472ccbfc9c20b955f467b07acdd07b8aafefcd",
+            "166c5e50ea0a362dfbf962d4ff725e0fad17bb56dbee9681ac325fdd62ed47a5",
             "fe90d64df36b72fc55c32fa1b023adadd6cabb18141f0759d23f7516d9b9cc4b",
             "81408c33354475e384d0ade3c7f7e1008f77a0531652873ab369b5d2e47911b5",
         ]

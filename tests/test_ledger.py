@@ -187,10 +187,11 @@ class TestGenesis:
         }
 
     def test_genesis_carries_the_chain_format(self):
-        assert fresh_chain().genesis_payload["format"] == ledger.CHAIN_FORMAT == 1
+        assert fresh_chain().genesis_payload["format"] == ledger.CHAIN_FORMAT == 2
 
     @pytest.mark.parametrize(
-        "chain_format", [None, 0, 2, True, 1.0, "1"], ids=["absent", "0", "2", "true", "1.0", "str"]
+        "chain_format", [None, 0, 1, 3, True, 1.0, 2.0, "2"],
+        ids=["absent", "0", "1", "3", "true", "1.0", "2.0", "str"],
     )
     def test_genesis_of_another_format_invalid(self, chain_format):
         block = fresh_chain().blocks[0]
@@ -225,7 +226,21 @@ class TestSubmit:
     def test_setup_by_non_admin_rejected(self):
         impostor = kp("impostor")
         tx = ledger.make_setup(impostor, USERS[0].public_key, ATTRS, self.now)
-        assert self.mempool.submit(self.chain, tx, self.now) == "not-admin"
+        assert self.mempool.submit(self.chain, tx, self.now) == "bad-signature"
+
+    @pytest.mark.parametrize("key", ["admin_pk", "storage_pk"])
+    @pytest.mark.parametrize("value", [None, "zz"], ids=["absent", "not-hex"])
+    def test_signer_key_missing_from_genesis_rejected(self, key, value):
+        block = self.chain.blocks[0]
+        payload = {**block.payload, key: value}
+        chain = ledger.Chain()
+        ledger.append_block(chain, ledger.signed(replace(block, payload=payload), VALIDATORS[0]))
+        tx = (
+            ledger.make_setup(ADMIN, USERS[0].public_key, ATTRS, self.now)
+            if key == "admin_pk"
+            else ledger.make_storage(STORAGE, bytes(16), USERS[0].public_key, self.now)
+        )
+        assert self.mempool.submit(chain, tx, self.now) == "bad-signature"
 
     def test_tampered_signature_rejected(self):
         tx = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now)
@@ -313,7 +328,6 @@ class TestBlocks:
             tx_root=block.tx_root,
             transactions=block.transactions,
             timestamp=block.timestamp,
-            proposer=VALIDATORS[2].public_key,
             sig=crypto.sign(
                 VALIDATORS[2].secret_key,
                 ledger.signing_bytes(
@@ -323,7 +337,6 @@ class TestBlocks:
                         tx_root=block.tx_root,
                         transactions=block.transactions,
                         timestamp=block.timestamp,
-                        proposer=VALIDATORS[2].public_key,
                     )
                 ),
             ),
@@ -352,7 +365,6 @@ class TestBlocks:
             tx_root=block.tx_root,
             transactions=(mutated_tx,),
             timestamp=block.timestamp,
-            proposer=block.proposer,
             sig=block.sig,
         )
         assert not ledger.validate_block(self.chain, mutated)
@@ -377,7 +389,6 @@ class TestBlocks:
                 tx_root=ledger.merkle_root([ledger.tx_digest(mutated)]),
                 transactions=(mutated,),
                 timestamp=self.now,
-                proposer=proposer.public_key,
             ),
             proposer,
         )
@@ -391,7 +402,6 @@ class TestBlocks:
         # admission refuses this as "malformed"; block validation must too
         setup = ledger.signed(
             ledger.SetupTx(
-                admin_pk=ADMIN.public_key,
                 user_pk=USERS[0].public_key,
                 metadata=(99,) + (0,) * 7,
                 timestamp=self.now,
@@ -406,7 +416,6 @@ class TestBlocks:
                 tx_root=ledger.merkle_root([ledger.tx_digest(setup)]),
                 transactions=(setup,),
                 timestamp=self.now,
-                proposer=proposer.public_key,
             ),
             proposer,
         )
@@ -423,7 +432,6 @@ class TestBlocks:
             tx_root=block.tx_root,
             transactions=block.transactions,
             timestamp=block.timestamp,
-            proposer=block.proposer,
             sig=block.sig,
         )
         before = self.chain.height
@@ -452,7 +460,11 @@ class TestChainState:
         chain, mempool = build_chain_with_users(n_blocks=9)
         members = chain.validator_set.members
         for block in chain.blocks:
-            assert block.proposer == members[block.height % len(members)]
+            signers = [
+                i for i, member in enumerate(members)
+                if crypto.verify_sig(member, ledger.signing_bytes(block), block.sig)
+            ]
+            assert signers == [block.height % len(members)]
 
     def test_validate_chain_on_fresh_ten_block_chain(self):
         chain, _ = build_chain_with_users(n_blocks=10)
@@ -483,7 +495,6 @@ def block_at_tip(
             tx_root=ledger.merkle_root([ledger.tx_digest(t) for t in transactions]),
             transactions=tuple(transactions),
             timestamp=now,
-            proposer=proposer.public_key,
         ),
         proposer,
     )
@@ -538,6 +549,30 @@ class TestSmallOrderKeyForgery:
         assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
 
 
+@pytest.fixture(scope="module")
+def scenario_world():
+    world = H.setup_world(3, 12, 6, seed=0)
+    assert all(report.passed for report in H.run_all_scenarios(world))
+    return world
+
+
+class TestBlockTime:
+    """A block signed by the scheduled validator but dated before its parent."""
+
+    @pytest.mark.parametrize(
+        "dated", [lambda parent: 0, lambda parent: parent - 10**6],
+        ids=["zero", "million-seconds-early"],
+    )
+    def test_block_dated_before_its_parent_invalid(self, scenario_world, dated):
+        chain = scenario_world.chain
+        timestamp = dated(chain.blocks[-1].timestamp)
+        block = block_at_tip(chain, [], timestamp, scenario_world.scheduled_proposer())
+        assert not ledger.validate_block(chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, block)
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
+
+
 @dataclass(frozen=True)
 class FabricatedHandOff:
     """The unsigned authentication hand-off that older chains carried, or
@@ -566,7 +601,9 @@ class TestFabricatedHandOff:
         honest = ledger.make_accreq(USERS[0], 1, "read", bytes([7]) * 16, 1_700_000_000)
         assert ledger.validate_block(chain, block_at_tip(chain, [honest]))
         block = block_at_tip(chain, [honest, FabricatedHandOff(kp("never-registered").public_key)])
-        assert block.proposer == chain.validator_set.scheduled(chain.height)
+        assert crypto.verify_sig(
+            chain.validator_set.scheduled(chain.height), ledger.signing_bytes(block), block.sig
+        )
         assert not ledger.validate_block(chain, block)
         with pytest.raises(FormatError):
             ledger.append_block(chain, block)
@@ -678,11 +715,12 @@ def resigned_from(world, blocks, start):
     """Re-link and re-sign ``blocks[start:]``, so only a change made before
     ``start`` can be wrong."""
     keys = {v.public_key: v for v in world.validators}
+    schedule = world.chain.validator_set
     out = list(blocks[:start])
     for block in blocks[start:]:
         if out:
             block = replace(block, prev_hash=ledger.block_hash(out[-1]))
-        out.append(ledger.signed(block, keys[block.proposer]))
+        out.append(ledger.signed(block, keys[schedule.scheduled(block.height)]))
     return out
 
 

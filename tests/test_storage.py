@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -46,8 +45,9 @@ def rng(tag: str = "storage-tests") -> crypto.RandomSource:
 def issue(node: S.StorageNode, r=None) -> tuple[bytes, bytes, ledger.LinkTx]:
     tx = node.issue_link(GRANT_READ, USER.public_key, 5, NOW, r or rng())
     assert isinstance(tx, ledger.LinkTx)
-    note = json.loads(crypto.decrypt(USER.secret_key, tx.ciphertext))
-    return bytes.fromhex(note["link"]), bytes.fromhex(note["nonce"]), tx
+    note = crypto.decrypt(USER.secret_key, tx.ciphertext)
+    assert len(note) == S.LINK_NOTE_SIZE
+    return note[:S.TOKEN_SIZE], note[S.TOKEN_SIZE:], tx
 
 
 class TestResources:
@@ -95,7 +95,7 @@ class TestIssueLink:
 
     @pytest.mark.parametrize(
         "plaintext",
-        [b"not json", b"[1, 2]", b'{"link": "00"}', b'{"link": "zz", "nonce": "00"}'],
+        [b"not json", b"[1, 2]", bytes(S.TOKEN_SIZE), b'{"link": "zz", "nonce": "00"}'],
         ids=["not-json", "not-object", "no-nonce", "not-hex"],
     )
     def test_read_link_note_unparsable_note_format_error(self, plaintext):
