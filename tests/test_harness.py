@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
+import orjson
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from authchain import crypto, harness as H, ledger, storage as S
+from authchain import contracts as C, crypto, harness as H, ledger, storage as S
 from authchain.config import Config
 from authchain.contracts import DENY, DenialReason, PriorityRule, register_ban
 from authchain.errors import ConfigError
 from authchain.model import OPERATIONS
 from conftest import IDENTITY_KEY, UNIVERSAL_SIG, build_small_world
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def chain_txs(chain, kind: str, user_pk: bytes | None = None) -> list:
@@ -181,6 +187,26 @@ class TestRunRequest:
     def test_wrong_resource_denied(self, fresh_world):
         outcome = H.run_request(fresh_world, 0, 424242, "read")
         assert outcome.verdict == "denied:wrong-resource"
+
+    @pytest.mark.parametrize(
+        "resource_id, operation",
+        [(None, "delete"), (2**32, "read"), (-1, "read")],
+        ids=["unknown-operation", "2^32", "-1"],
+    )
+    def test_unservable_request_denied_as_wrong_resource_before_inference(
+        self, monkeypatch, resource_id, operation
+    ):
+        world = build_small_world(seed=3)
+        if resource_id is None:  # a catalogued resource, so only the operation is unknown
+            resource_id = world.dataset.resources[0][0]
+        inferred = []
+        monkeypatch.setattr(C, "infer", lambda *args: inferred.append(args))
+        outcome = H.run_request(world, 0, resource_id, operation)
+        assert outcome.verdict == "denied:wrong-resource"
+        assert outcome.heights == (world.chain.height - 1,)
+        record = world.storage_node.log.records[-1]
+        assert (record.reason, record.output_mask) == ("wrong-resource", None)
+        assert inferred == []
 
     def test_root_mirror_matches_log_after_requests(self, tmp_path):
         world = build_small_world(seed=3)
@@ -557,15 +583,16 @@ class TestCryptoCounts:
     }
 
     # class -> (Ed25519 verifications, signs, X25519, AEAD, blocks mined,
-    # chain bytes added), run in this order on one setup_world(3, 30, 12, 0)
+    # chain bytes added, canonical encodings), run in this order on one
+    # setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2383),
-        "model-denied": (2, 2, 0, 0, 1, 772),
-        "policy-denied": (2, 2, 0, 0, 1, 771),
-        "wrong-resource": (2, 2, 0, 0, 1, 777),
-        "outsider": (2, 2, 1, 0, 1, 771),
-        "replayed request": (0, 0, 0, 0, 0, 0),
-        "reused link": (0, 0, 0, 0, 0, 0),
+        "grant": (6, 6, 3, 2, 3, 2383, 25),
+        "model-denied": (2, 2, 0, 0, 1, 772, 12),
+        "policy-denied": (2, 2, 0, 0, 1, 771, 12),
+        "wrong-resource": (2, 2, 0, 0, 1, 777, 12),
+        "outsider": (2, 2, 1, 0, 1, 771, 11),
+        "replayed request": (0, 0, 0, 0, 0, 0, 4),
+        "reused link": (0, 0, 0, 0, 0, 0, 3),
     }
 
     def test_cost_per_request_class(self, monkeypatch):
@@ -586,6 +613,13 @@ class TestCryptoCounts:
                 return _inner(*args)
 
             monkeypatch.setattr(crypto._sodium, name, counted)
+
+        def counted_dumps(*args, **kwargs):
+            counts["encodings"] += 1
+            return orjson.dumps(*args, **kwargs)
+
+        # every canonical encoding is one ledger.orjson.dumps call
+        monkeypatch.setattr(ledger, "orjson", SimpleNamespace(**{**vars(orjson), "dumps": counted_dumps}))
 
         grant_case = H.find_case(world, want_grant=True)
         grant_subject = ledger.subject_id(world.users[grant_case[0]].public_key)
@@ -630,9 +664,21 @@ class TestCryptoCounts:
             observed[name] = (
                 counts["verify"], counts["sign"], counts["x25519"], counts["aead"],
                 world.chain.height - start,
-                sum(len(ledger.block_canonical_bytes(b)) + 1 for b in world.chain.blocks[start:]),
+                sum(len(orjson.dumps(b.to_dict(), option=orjson.OPT_SORT_KEYS)) + 1
+                    for b in world.chain.blocks[start:]),
+                counts["encodings"],
             )
         assert observed == self.COSTS
+
+    def test_readme_cost_table_is_the_pinned_one(self):
+        text = README.read_text(encoding="utf-8")
+        header = "| class | Ed25519 verify | sign | X25519 | AEAD | blocks | chain bytes | encodings |"
+        rows = text.split(header, 1)[1].strip().splitlines()[1:]  # past the |---| line
+        table = {}
+        for row in itertools.takewhile(lambda line: line.strip().startswith("|"), rows):
+            name, *cells = (cell.strip() for cell in row.strip().strip("|").split("|"))
+            table[name] = tuple(int(cell) for cell in cells)
+        assert table == self.COSTS
 
     @pytest.mark.parametrize(
         "n_users, batch_size",
