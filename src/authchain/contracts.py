@@ -2,8 +2,8 @@
 
 Authentication checks that the requesting key is registered in chain
 memory, that the request is fresh, and that its signature verifies; on
-success it encodes the registered user metadata and the request into bit
-vectors and hands an in-process verified payload to authorization.  The
+success it encodes the registered user metadata into a bit vector and
+hands an in-process verified payload to authorization.  The
 payload never goes on chain: it is derived from the signed access request
 and the metadata registered on chain, so a copy on chain would add
 nothing but a record a validator could forge.
@@ -38,15 +38,12 @@ from .ledger import (
 from .model import (
     DecisionModel,
     N_OPERATIONS,
-    binary_repr,
+    OPERATIONS,
     encode_attrs,
     infer,
     operation_index,
     threshold_decide,
 )
-
-RESOURCE_ID_BITS = 32
-OPERATION_BITS = 4
 
 
 class DenialReason(Enum):
@@ -77,7 +74,6 @@ class VerifiedPayload:
 
     timestamp: int
     user_bits: tuple[int, ...]
-    request_bits: tuple[int, ...]
     user_pk: bytes
     resource_id: int
     operation: str
@@ -208,22 +204,13 @@ def authenticate(
     in-process hand-off to :func:`authorize`.
 
     The user bits encode the metadata registered for the key at setup time,
-    not the key itself; the request bits encode the resource id and the
-    requested operation.
+    not the key itself.
     """
     if not access_verification(tx, memory, now, window):
         return Denial(DenialReason.UNAUTHENTICATED, "access verification failed")
-    record = memory[user_key(tx.user_pk)]
-    try:
-        request_bits = binary_repr(tx.resource_id, RESOURCE_ID_BITS) + binary_repr(
-            operation_index(tx.operation), OPERATION_BITS
-        )
-    except ValueError:
-        return Denial(DenialReason.WRONG_RESOURCE, "unencodable request info")
     return VerifiedPayload(
         timestamp=tx.timestamp,
-        user_bits=encode_attrs(record["metadata"]),
-        request_bits=request_bits,
+        user_bits=encode_attrs(memory[user_key(tx.user_pk)]["metadata"]),
         user_pk=tx.user_pk,
         resource_id=tx.resource_id,
         operation=tx.operation,
@@ -256,7 +243,8 @@ def authorize(
     window: int = DEFAULT_FRESHNESS_WINDOW,
     threshold: float = 0.5,
 ) -> AccessList | Denial:
-    """Authorization contract: model inference, threshold, rule filter."""
+    """Authorization contract: model inference, threshold, rule filter.  An
+    uncatalogued resource or unknown operation is ``wrong-resource``."""
     if abs(now - payload.timestamp) > window:
         return Denial(DenialReason.STALE, "verified payload expired")
     resource = memory.get(resource_key(payload.resource_id))
@@ -264,6 +252,8 @@ def authorize(
         return Denial(
             DenialReason.WRONG_RESOURCE, f"no such resource {payload.resource_id}"
         )
+    if payload.operation not in OPERATIONS:
+        return Denial(DenialReason.WRONG_RESOURCE, f"no such operation {payload.operation!r}")
     resource_bits = encode_attrs(resource["metadata"])
     scores = infer(model, payload.user_bits + resource_bits)
     mask = threshold_decide(scores, threshold)

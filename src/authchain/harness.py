@@ -57,7 +57,6 @@ from .ledger import (
     genesis,
     make_accreq,
     make_setup,
-    merkle_root,
     parse_chain_lines,
     produce_block,
     save_chain,
@@ -220,6 +219,7 @@ def setup_world(
         timestamp=clock.now(),
         storage_pk=storage_keys.public_key,
         resources={rid: attrs for rid, attrs in dataset.resources},
+        freshness_window=config.freshness_window,
     )
 
     storage_node = StorageNode(storage_keys, link_ttl=config.link_ttl)
@@ -570,7 +570,6 @@ def _tamper_wrong_validator(world: World) -> tuple[bool, str]:
         Block(
             height=height,
             prev_hash=world.chain.tip_hash(),
-            tx_root=merkle_root([]),
             transactions=(),
             timestamp=world.now(),
         ),

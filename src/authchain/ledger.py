@@ -13,7 +13,11 @@ Consensus is proof-of-authority realized as a round-robin proposer
 schedule: the validator at index ``height mod v`` signs the block at that
 height, and every block is re-verified on receipt.  There are no view
 changes or forks; the chain is a single-writer, append-only list.  A block
-is never dated before its parent.
+is never dated before its parent, and never holds an access request dated
+more than the genesis freshness window from its own time.
+
+A block commits to its transactions once: its signature, and its hash
+that the next block's ``prev_hash`` names, cover them.
 
 No signer key is carried on chain where the chain already names it: a
 block's signer is the validator the genesis schedule names for its height,
@@ -47,7 +51,7 @@ ZERO_DIGEST = b"\x00" * crypto.DIGEST_SIZE
 # the chain format, written into the genesis payload as "format"; a genesis
 # with no format or any other value is invalid, so a chain of an older
 # format is refused rather than misread
-CHAIN_FORMAT = 2
+CHAIN_FORMAT = 3
 
 # (public_key, message, signature) -> verdict; crypto.verify_sig by default
 SignatureCheck = Callable[[bytes, bytes, bytes], bool]
@@ -234,7 +238,16 @@ class StorageTx:
 
 Transaction = Union[SetupTx, AccReqTx, LinkTx, StorageTx]
 
-_TX_KINDS = {"setup", "accreq", "link", "storage"}
+# the keys ``to_dict`` writes for a block, each transaction kind and an
+# access request's req_info: the only keys a chain line may hold there
+_KEYS = {
+    "block": frozenset({"height", "prev_hash", "transactions", "timestamp", "payload", "sig"}),
+    "setup": frozenset({"kind", "user_pk", "metadata", "timestamp", "sig"}),
+    "accreq": frozenset({"kind", "user_pk", "timestamp", "req_info", "nonce", "sig"}),
+    "req_info": frozenset({"resource_id", "operation"}),
+    "link": frozenset({"kind", "recipient", "ciphertext", "timestamp", "sig"}),
+    "storage": frozenset({"kind", "nonce", "timestamp", "user_pk", "sig"}),
+}
 
 
 def signing_bytes(obj) -> bytes:
@@ -253,22 +266,26 @@ def tx_canonical_bytes(tx: Transaction) -> bytes:
     return canonical_bytes(tx.to_dict())
 
 
-def tx_digest(tx: Transaction) -> bytes:
-    return crypto.hash_bytes(tx_canonical_bytes(tx))
+def _check_keys(d: dict, name: str) -> None:
+    """Raise ``FormatError`` naming the first key of ``d``, in sorted order,
+    that ``_KEYS[name]`` lacks, such as a field of another chain format."""
+    unexpected = sorted(d.keys() - _KEYS[name])
+    if unexpected:
+        raise FormatError(f"unexpected key {unexpected[0]!r} in {name}")
 
 
 def tx_from_dict(d: dict) -> Transaction:
     try:
         kind = d["kind"]
         if kind == "setup":
-            return SetupTx(
+            tx = SetupTx(
                 user_pk=bytes.fromhex(d["user_pk"]),
                 metadata=tuple(int(a) for a in d["metadata"]),
                 timestamp=int(d["timestamp"]),
                 sig=bytes.fromhex(d["sig"]),
             )
-        if kind == "accreq":
-            return AccReqTx(
+        elif kind == "accreq":
+            tx = AccReqTx(
                 user_pk=bytes.fromhex(d["user_pk"]),
                 timestamp=int(d["timestamp"]),
                 resource_id=int(d["req_info"]["resource_id"]),
@@ -276,23 +293,27 @@ def tx_from_dict(d: dict) -> Transaction:
                 nonce=bytes.fromhex(d["nonce"]),
                 sig=bytes.fromhex(d["sig"]),
             )
-        if kind == "link":
-            return LinkTx(
+            _check_keys(d["req_info"], "req_info")
+        elif kind == "link":
+            tx = LinkTx(
                 recipient=bytes.fromhex(d["recipient"]),
                 ciphertext=bytes.fromhex(d["ciphertext"]),
                 timestamp=int(d["timestamp"]),
                 sig=bytes.fromhex(d["sig"]),
             )
-        if kind == "storage":
-            return StorageTx(
+        elif kind == "storage":
+            tx = StorageTx(
                 nonce=bytes.fromhex(d["nonce"]),
                 timestamp=int(d["timestamp"]),
                 user_pk=bytes.fromhex(d["user_pk"]),
                 sig=bytes.fromhex(d["sig"]),
             )
+        else:
+            raise FormatError(f"unknown transaction kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed transaction: {exc}") from exc
-    raise FormatError(f"unknown transaction kind {d.get('kind')!r}")
+    _check_keys(d, kind)
+    return tx
 
 
 def make_setup(admin: crypto.KeyPair, user_pk: bytes, metadata, timestamp: int) -> SetupTx:
@@ -341,7 +362,6 @@ def make_storage(
 class Block:
     height: int
     prev_hash: bytes
-    tx_root: bytes
     transactions: tuple[Transaction, ...]
     timestamp: int
     payload: dict | None = None  # genesis configuration, height 0 only
@@ -351,7 +371,6 @@ class Block:
         return {
             "height": self.height,
             "prev_hash": self.prev_hash.hex(),
-            "tx_root": self.tx_root.hex(),
             "transactions": [t.to_dict() for t in self.transactions],
             "timestamp": self.timestamp,
             "payload": self.payload,
@@ -369,10 +388,9 @@ def block_hash(block: Block) -> bytes:
 
 def block_from_dict(d: dict) -> Block:
     try:
-        return Block(
+        block = Block(
             height=int(d["height"]),
             prev_hash=bytes.fromhex(d["prev_hash"]),
-            tx_root=bytes.fromhex(d["tx_root"]),
             transactions=tuple(tx_from_dict(t) for t in d["transactions"]),
             timestamp=int(d["timestamp"]),
             payload=d.get("payload"),
@@ -380,6 +398,8 @@ def block_from_dict(d: dict) -> Block:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed block: {exc}") from exc
+    _check_keys(d, "block")
+    return block
 
 
 @dataclass(frozen=True)
@@ -483,18 +503,21 @@ def genesis(
     timestamp: int,
     storage_pk: bytes | None = None,
     resources: dict[int, Any] | None = None,
+    freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
 ) -> Chain:
     """Create a chain whose genesis block carries the network configuration.
 
     The genesis block is signed by the validator scheduled for height 0
-    and carries ``CHAIN_FORMAT``.  The optional resource catalog maps
-    resource id to its 8 metadata attributes and seeds ``resource/<id>``
-    entries in chain memory.
+    and carries ``CHAIN_FORMAT`` and the freshness window, in seconds,
+    that bounds how far an access request's time may lie from its block's.
+    The optional resource catalog maps resource id to its 8 metadata
+    attributes and seeds ``resource/<id>`` entries in chain memory.
     """
     if proposer.public_key != validators.scheduled(0):
         raise ScheduleError("genesis must be proposed by the validator at index 0")
     payload = {
         "format": CHAIN_FORMAT,
+        "freshness_window": freshness_window,
         "validators": [v.hex() for v in validators.members],
         "admin_pk": admin_pk.hex(),
         "storage_pk": storage_pk.hex() if storage_pk else None,
@@ -506,7 +529,6 @@ def genesis(
     block = Block(
         height=0,
         prev_hash=ZERO_DIGEST,
-        tx_root=merkle_root([]),
         transactions=(),
         timestamp=timestamp,
         payload=payload,
@@ -628,12 +650,10 @@ def produce_block(
             f"validator not scheduled for height {height} "
             f"(expected index {height % len(chain.validator_set)})"
         )
-    transactions = tuple(mempool.drain(batch_size))
     block = Block(
         height=height,
         prev_hash=chain.tip_hash(),
-        tx_root=merkle_root([tx_digest(t) for t in transactions]),
-        transactions=transactions,
+        transactions=tuple(mempool.drain(batch_size)),
         timestamp=timestamp,
     )
     return signed(block, proposer)
@@ -642,11 +662,12 @@ def produce_block(
 def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = None) -> bool:
     """Full structural check of a candidate for the chain's next height,
     a pure function of the chain and the block; a genesis must carry
-    ``CHAIN_FORMAT``, a later block must be signed by the validator
-    scheduled for its height and dated no earlier than its parent, every
-    transaction must meet :func:`check_tx`, and no access request may
-    carry a nonce that is already on the chain or repeats within the
-    block.  ``verify`` checks each signature, as in :func:`check_tx`."""
+    ``CHAIN_FORMAT`` and a positive integer freshness window, a later block
+    must be signed by the validator scheduled for its height and dated no
+    earlier than its parent, every transaction must meet :func:`check_tx`,
+    and no access request may be dated more than the window from the
+    block, or carry a nonce that is already on the chain or repeats within
+    the block.  ``verify`` checks each signature, as in :func:`check_tx`."""
     verify = verify or crypto.verify_sig
     if block.height != chain.height:
         return False
@@ -654,8 +675,10 @@ def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = N
         payload = block.payload
         if not isinstance(payload, dict):
             return False
-        chain_format = payload.get("format")
+        chain_format, window = payload.get("format"), payload.get("freshness_window")
         if type(chain_format) is not int or chain_format != CHAIN_FORMAT:
+            return False
+        if type(window) is not int or window <= 0:
             return False
         try:
             validators = ValidatorSet(
@@ -670,15 +693,17 @@ def validate_block(chain: Chain, block: Block, verify: SignatureCheck | None = N
             return False
         try:
             validators = chain.validator_set
-        except (FormatError, ValueError):
+            window = chain.genesis_payload["freshness_window"]
+        except (FormatError, KeyError, ValueError):
             return False
         if block.prev_hash != chain.tip_hash():
             return False
         if block.timestamp < chain.blocks[-1].timestamp:
             return False
-    if block.tx_root != merkle_root([tx_digest(t) for t in block.transactions]):
+    requests = [tx for tx in block.transactions if isinstance(tx, AccReqTx)]
+    if any(abs(block.timestamp - tx.timestamp) > window for tx in requests):
         return False
-    nonces = [tx.nonce for tx in block.transactions if isinstance(tx, AccReqTx)]
+    nonces = [tx.nonce for tx in requests]
     if len(set(nonces)) != len(nonces) or any(chain.nonce_seen(n) for n in nonces):
         return False
     if not verify(validators.scheduled(block.height), signing_bytes(block), block.sig):
@@ -700,8 +725,9 @@ def append_block(chain: Chain, block: Block, verify: SignatureCheck | None = Non
 def validate_chain(chain: Chain) -> bool:
     """Re-validate every block from genesis; a chain without one is invalid.
 
-    The structural rules (height, linkage, schedule, merkle root, signer per
-    kind, metadata) run here, replaying the blocks onto a private chain.
+    The structural rules (height, linkage, schedule, block and request
+    time, signer per kind, metadata) run here, replaying the blocks onto a
+    private chain.
     The signature checks they meet are deferred and streamed, as they are
     met, to :func:`crypto.verify_all`, which verifies each one once and may
     use every CPU.  The verdict equals that of :meth:`Chain.replay`.

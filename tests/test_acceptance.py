@@ -144,14 +144,12 @@ def test_criterion_4_chain_immutability():
             rogue = ledger.Block(
                 height=height,
                 prev_hash=world.chain.tip_hash(),
-                tx_root=ledger.merkle_root([]),
                 transactions=(),
                 timestamp=clock.now(),
             )
             rogue = ledger.Block(
                 height=rogue.height,
                 prev_hash=rogue.prev_hash,
-                tx_root=rogue.tx_root,
                 transactions=rogue.transactions,
                 timestamp=rogue.timestamp,
                 sig=crypto.sign(validator.secret_key, ledger.signing_bytes(rogue)),

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from authchain import crypto
 from authchain.bench import ENGINES
 from authchain.cli import _build_world, _config_from_args, build_parser, dispatch
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
 from authchain.harness import TAMPER_MUTATIONS, setup_world
-from authchain.ledger import AccReqTx, canonical_bytes, load_chain, tx_canonical_bytes
+from authchain.ledger import AccReqTx, canonical_bytes, load_chain, merkle_root, tx_canonical_bytes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -234,9 +235,23 @@ class TestWorldCommands:
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
         assert capsys.readouterr().out == "chain INVALID: validation failed\n"
 
-        # format 1: each block names its proposer and each setup its admin
+        # format 2: each block carries a Merkle root of its transactions, and
+        # genesis no freshness window
         blocks = [json.loads(line) for line in written]
         genesis = blocks[0]["payload"]
+        genesis["format"] = 2
+        del genesis["freshness_window"]
+        for block in blocks:
+            block["tx_root"] = merkle_root(
+                [crypto.hash_bytes(canonical_bytes(tx)) for tx in block["transactions"]]
+            ).hex()
+        chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks) + b"\n")
+        assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
+        assert capsys.readouterr().out == (
+            "chain INVALID: chain line 1: unexpected key 'tx_root' in block\n"
+        )
+
+        # format 1: also each block names its proposer and each setup its admin
         genesis["format"] = 1
         validators = genesis["validators"]
         for block in blocks:
@@ -246,7 +261,9 @@ class TestWorldCommands:
                     tx["admin_pk"] = genesis["admin_pk"]
         chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks) + b"\n")
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
-        assert capsys.readouterr().out == "chain INVALID: chain line 1: non-canonical encoding\n"
+        assert capsys.readouterr().out == (
+            "chain INVALID: chain line 1: unexpected key 'proposer' in block\n"
+        )
 
     def test_scenario_all_passes_and_verifies(self, tmp_path, capsys):
         report = tmp_path / "reports.json"

@@ -93,12 +93,6 @@ class TestAuthenticate:
         payload = C.authenticate(accreq(ts=NOW - 7), memory_with(), NOW)
         assert payload.timestamp == NOW - 7
 
-    def test_request_bits_encode_resource_and_operation(self):
-        payload = C.authenticate(accreq(op="execute"), memory_with(), NOW)
-        assert payload.request_bits == (
-            M.binary_repr(RESOURCE_ID, 32) + M.binary_repr(2, 4)
-        )
-
     def test_unauthenticated_denial(self):
         result = C.authenticate(accreq(user=OTHER), memory_with(), NOW)
         assert isinstance(result, C.Denial)
@@ -141,6 +135,11 @@ class TestAuthorize:
         decision = authorize_simple(GRANT_ALL, resource_id=999)
         assert isinstance(decision, C.Denial)
         assert decision.reason == C.DenialReason.WRONG_RESOURCE
+
+    def test_unknown_operation(self):
+        decision = authorize_simple(GRANT_ALL, op="delete")
+        assert isinstance(decision, C.Denial)
+        assert (decision.reason, decision.mask) == (C.DenialReason.WRONG_RESOURCE, None)
 
     def test_empty_rules_equals_thresholded_inference(self):
         payload = C.authenticate(accreq(), memory_with(), NOW)

@@ -586,11 +586,11 @@ class TestCryptoCounts:
     # chain bytes added, canonical encodings), run in this order on one
     # setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2383, 25),
-        "model-denied": (2, 2, 0, 0, 1, 772, 12),
-        "policy-denied": (2, 2, 0, 0, 1, 771, 12),
-        "wrong-resource": (2, 2, 0, 0, 1, 777, 12),
-        "outsider": (2, 2, 1, 0, 1, 771, 11),
+        "grant": (6, 6, 3, 2, 3, 2152, 19),
+        "model-denied": (2, 2, 0, 0, 1, 695, 10),
+        "policy-denied": (2, 2, 0, 0, 1, 694, 10),
+        "wrong-resource": (2, 2, 0, 0, 1, 700, 10),
+        "outsider": (2, 2, 1, 0, 1, 694, 9),
         "replayed request": (0, 0, 0, 0, 0, 0, 4),
         "reused link": (0, 0, 0, 0, 0, 0, 3),
     }
@@ -619,7 +619,9 @@ class TestCryptoCounts:
             return orjson.dumps(*args, **kwargs)
 
         # every canonical encoding is one ledger.orjson.dumps call
-        monkeypatch.setattr(ledger, "orjson", SimpleNamespace(**{**vars(orjson), "dumps": counted_dumps}))
+        monkeypatch.setattr(
+            ledger, "orjson", SimpleNamespace(**{**vars(orjson), "dumps": counted_dumps})
+        )
 
         grant_case = H.find_case(world, want_grant=True)
         grant_subject = ledger.subject_id(world.users[grant_case[0]].public_key)
@@ -661,12 +663,12 @@ class TestCryptoCounts:
             counts.clear()
             start = world.chain.height
             assert run() == verdict, name
+            encodings = counts["encodings"]  # read before the chain bytes below are encoded
             observed[name] = (
                 counts["verify"], counts["sign"], counts["x25519"], counts["aead"],
                 world.chain.height - start,
-                sum(len(orjson.dumps(b.to_dict(), option=orjson.OPT_SORT_KEYS)) + 1
-                    for b in world.chain.blocks[start:]),
-                counts["encodings"],
+                sum(len(ledger.block_canonical_bytes(b)) + 1 for b in world.chain.blocks[start:]),
+                encodings,
             )
         assert observed == self.COSTS
 
@@ -731,7 +733,7 @@ class TestArtifacts:
         paths = [tmp_path / name for name in ("chain.jsonl", "state.json", "log.jsonl")]
         H.save_world_artifacts(world, *paths)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
-            "166c5e50ea0a362dfbf962d4ff725e0fad17bb56dbee9681ac325fdd62ed47a5",
+            "8e0967d588edffff11eb9c920ac4a7ca17c88f5d2ccb3f1d512895310e48436f",
             "fe90d64df36b72fc55c32fa1b023adadd6cabb18141f0759d23f7516d9b9cc4b",
             "81408c33354475e384d0ade3c7f7e1008f77a0531652873ab369b5d2e47911b5",
         ]

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from authchain import crypto, harness as H, ledger
+from authchain.config import Config
 from authchain.errors import ConfigError, FormatError, ScheduleError
 from conftest import IDENTITY_KEY, UNIVERSAL_SIG, build_small_world
 
@@ -187,18 +188,38 @@ class TestGenesis:
         }
 
     def test_genesis_carries_the_chain_format(self):
-        assert fresh_chain().genesis_payload["format"] == ledger.CHAIN_FORMAT == 2
+        assert fresh_chain().genesis_payload["format"] == ledger.CHAIN_FORMAT == 3
+
+    @staticmethod
+    def genesis_with(key, value):
+        """The genesis block with ``key`` set to ``value`` in its payload
+        (absent for None), re-signed by its proposer."""
+        block = fresh_chain().blocks[0]
+        payload = {k: v for k, v in block.payload.items() if k != key}
+        if value is not None:
+            payload[key] = value
+        return ledger.signed(replace(block, payload=payload), VALIDATORS[0])
 
     @pytest.mark.parametrize(
-        "chain_format", [None, 0, 1, 3, True, 1.0, 2.0, "2"],
-        ids=["absent", "0", "1", "3", "true", "1.0", "2.0", "str"],
+        "chain_format", [None, 0, 1, 2, 4, True, 1.0, 2.0, 3.0, "3"],
+        ids=["absent", "0", "1", "2", "4", "true", "1.0", "2.0", "3.0", "str"],
     )
     def test_genesis_of_another_format_invalid(self, chain_format):
-        block = fresh_chain().blocks[0]
-        payload = {k: v for k, v in block.payload.items() if k != "format"}
-        if chain_format is not None:
-            payload["format"] = chain_format
-        resigned = ledger.signed(replace(block, payload=payload), VALIDATORS[0])
+        resigned = self.genesis_with("format", chain_format)
+        assert not ledger.validate_block(ledger.Chain(), resigned)
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([resigned]))
+
+    def test_genesis_carries_the_freshness_window(self):
+        assert fresh_chain().genesis_payload["freshness_window"] == ledger.DEFAULT_FRESHNESS_WINDOW
+        world = build_small_world(seed=3, config=Config(freshness_window=77))
+        assert world.chain.genesis_payload["freshness_window"] == 77
+
+    @pytest.mark.parametrize(
+        "window", [None, 0, -1, True, 120.0, "120"],
+        ids=["absent", "0", "negative", "true", "float", "str"],
+    )
+    def test_genesis_without_a_positive_int_window_invalid(self, window):
+        resigned = self.genesis_with("freshness_window", window)
         assert not ledger.validate_block(ledger.Chain(), resigned)
         assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([resigned]))
 
@@ -325,7 +346,6 @@ class TestBlocks:
         resigned = ledger.Block(
             height=block.height,
             prev_hash=block.prev_hash,
-            tx_root=block.tx_root,
             transactions=block.transactions,
             timestamp=block.timestamp,
             sig=crypto.sign(
@@ -334,7 +354,6 @@ class TestBlocks:
                     ledger.Block(
                         height=block.height,
                         prev_hash=block.prev_hash,
-                        tx_root=block.tx_root,
                         transactions=block.transactions,
                         timestamp=block.timestamp,
                     )
@@ -362,7 +381,6 @@ class TestBlocks:
         mutated = ledger.Block(
             height=block.height,
             prev_hash=block.prev_hash,
-            tx_root=block.tx_root,
             transactions=(mutated_tx,),
             timestamp=block.timestamp,
             sig=block.sig,
@@ -386,7 +404,6 @@ class TestBlocks:
             ledger.Block(
                 height=self.chain.height,
                 prev_hash=self.chain.tip_hash(),
-                tx_root=ledger.merkle_root([ledger.tx_digest(mutated)]),
                 transactions=(mutated,),
                 timestamp=self.now,
             ),
@@ -413,7 +430,6 @@ class TestBlocks:
             ledger.Block(
                 height=self.chain.height,
                 prev_hash=self.chain.tip_hash(),
-                tx_root=ledger.merkle_root([ledger.tx_digest(setup)]),
                 transactions=(setup,),
                 timestamp=self.now,
             ),
@@ -429,7 +445,6 @@ class TestBlocks:
         bad = ledger.Block(
             height=block.height,
             prev_hash=bytes(32),
-            tx_root=block.tx_root,
             transactions=block.transactions,
             timestamp=block.timestamp,
             sig=block.sig,
@@ -492,7 +507,6 @@ def block_at_tip(
         ledger.Block(
             height=chain.height,
             prev_hash=chain.tip_hash(),
-            tx_root=ledger.merkle_root([ledger.tx_digest(t) for t in transactions]),
             transactions=tuple(transactions),
             timestamp=now,
         ),
@@ -557,7 +571,9 @@ def scenario_world():
 
 
 class TestBlockTime:
-    """A block signed by the scheduled validator but dated before its parent."""
+    """A block signed by the scheduled validator but dated before its
+    parent, or holding an access request dated outside the genesis
+    freshness window from the block."""
 
     @pytest.mark.parametrize(
         "dated", [lambda parent: 0, lambda parent: parent - 10**6],
@@ -571,6 +587,39 @@ class TestBlockTime:
         with pytest.raises(FormatError):
             ledger.append_block(chain, block)
         assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
+
+    WINDOW = ledger.DEFAULT_FRESHNESS_WINDOW
+
+    def mine_request(self, world, request_after: int, block_after: int):
+        """A fresh request dated ``request_after`` seconds after the tip, in
+        a block dated ``block_after`` seconds after it, signed by the
+        scheduled validator."""
+        chain = world.chain
+        tip = chain.blocks[-1].timestamp
+        request = ledger.make_accreq(world.users[0], 0, "read", bytes([9]) * 16, tip + request_after)
+        return block_at_tip(chain, [request], tip + block_after, world.scheduled_proposer())
+
+    @pytest.mark.parametrize(
+        "request_after, block_after",
+        [(0, 10**6), (0, WINDOW + 1), (WINDOW + 1, 0)],
+        ids=["million-seconds-late", "just-late", "dated-ahead"],
+    )
+    def test_request_outside_the_window_of_its_block_invalid(
+        self, scenario_world, request_after, block_after
+    ):
+        chain = scenario_world.chain
+        block = self.mine_request(scenario_world, request_after, block_after)
+        assert not ledger.validate_block(chain, block)
+        with pytest.raises(FormatError):
+            ledger.append_block(chain, block)
+        assert not ledger.validate_chain(ledger.Chain.from_blocks_unchecked([*chain.blocks, block]))
+
+    @pytest.mark.parametrize("request_after, block_after", [(0, WINDOW), (WINDOW, 0)])
+    def test_request_at_the_edge_of_the_window_valid(
+        self, scenario_world, request_after, block_after
+    ):
+        block = self.mine_request(scenario_world, request_after, block_after)
+        assert ledger.validate_block(scenario_world.chain, block)
 
 
 @dataclass(frozen=True)
@@ -732,11 +781,7 @@ def bad_last_signature(world, blocks):
     last = blocks[-1]
     txs = list(last.transactions)
     txs[0] = replace(txs[0], sig=flip(txs[0].sig))
-    last = replace(
-        last,
-        transactions=tuple(txs),
-        tx_root=ledger.merkle_root([ledger.tx_digest(tx) for tx in txs]),
-    )
+    last = replace(last, transactions=tuple(txs))
     return resigned_from(world, [*blocks[:-1], last], len(blocks) - 1)
 
 
@@ -881,6 +926,33 @@ class TestPersistence:
         path = tmp_path / "chain.jsonl"
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match="^chain line 2: malformed block: 'height'$"):
+            ledger.load_chain(path)
+
+    @pytest.mark.parametrize(
+        "height, where, key, named",
+        [
+            (1, lambda block: block, "tx_root", "block"),
+            (1, lambda block: block["transactions"][0], "admin_pk", "setup"),
+            (1, lambda block: block, "a", "block"),
+            (2, lambda block: block["transactions"][0], "user_bits", "accreq"),
+            (2, lambda block: block["transactions"][0]["req_info"], "bits", "req_info"),
+        ],
+        ids=["block", "setup", "sorts-first", "accreq", "req-info"],
+    )
+    def test_unexpected_key_is_named(self, tmp_path, height, where, key, named):
+        # a field of another format, which the reader would otherwise drop
+        chain, _ = build_chain_with_users(n_blocks=3)
+        d = chain.blocks[height].to_dict()
+        where(d)[key] = "00"
+        with pytest.raises(FormatError, match=f"^unexpected key '{key}' in {named}$"):
+            ledger.block_from_dict(d)
+        lines = [ledger.block_canonical_bytes(b) for b in chain.blocks]
+        lines[height] = ledger.canonical_bytes(d)
+        path = tmp_path / "chain.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(
+            FormatError, match=f"^chain line {height + 1}: unexpected key '{key}' in {named}$"
+        ):
             ledger.load_chain(path)
 
     def test_loaded_chain_memory_usable(self, tmp_path):
