@@ -556,22 +556,6 @@ class TestCryptoCounts:
             monkeypatch.setattr(crypto, attr, counted)
         return counts
 
-    def test_verify_and_sign_counts_per_request(self, monkeypatch):
-        # block validation re-checks each signed transaction admission
-        # checked, so a grant calls verify_sig once more per block
-        world = H.setup_world(3, 30, 12, seed=0)
-        counts = self.count_calls(monkeypatch)
-        cases = {
-            "allowed": (H.find_case(world, want_grant=True), (10, 6)),
-            "denied:model-denied": (H.find_case(world, want_grant=False), (4, 2)),
-            "denied:wrong-resource": ((0, 10**6, "read"), (4, 2)),
-            "denied:unauthenticated": ((len(world.users), 0, "read"), (3, 2)),
-        }
-        for verdict, (case, expected) in cases.items():
-            counts.update(verify=0, sign=0)
-            assert H.run_request(world, *case).verdict == verdict
-            assert (counts["verify"], counts["sign"]) == expected, verdict
-
     # libsodium function -> the cost column it counts
     SODIUM_COLUMNS = {
         "crypto_sign_verify_detached": "verify",
@@ -583,17 +567,56 @@ class TestCryptoCounts:
     }
 
     # class -> (Ed25519 verifications, signs, X25519, AEAD, blocks mined,
-    # chain bytes added, canonical encodings), run in this order on one
-    # setup_world(3, 30, 12, 0)
+    # chain bytes added, canonical encodings, verify_sig calls), run in
+    # this order on one setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2152, 19),
-        "model-denied": (2, 2, 0, 0, 1, 695, 10),
-        "policy-denied": (2, 2, 0, 0, 1, 694, 10),
-        "wrong-resource": (2, 2, 0, 0, 1, 700, 10),
-        "outsider": (2, 2, 1, 0, 1, 694, 9),
-        "replayed request": (0, 0, 0, 0, 0, 0, 4),
-        "reused link": (0, 0, 0, 0, 0, 0, 3),
+        "grant": (6, 6, 3, 2, 3, 2152, 19, 10),
+        "model-denied": (2, 2, 0, 0, 1, 695, 10, 4),
+        "policy-denied": (2, 2, 0, 0, 1, 694, 10, 4),
+        "wrong-resource": (2, 2, 0, 0, 1, 700, 10, 4),
+        "outsider": (2, 2, 1, 0, 1, 694, 9, 3),
+        "replayed request": (0, 0, 0, 0, 0, 0, 4, 1),
+        "reused link": (0, 0, 0, 0, 0, 0, 3, 0),
     }
+
+    @staticmethod
+    def request_classes(world) -> dict:
+        """class -> (run one request of it, the verdict it must give), in
+        ``COSTS`` order; the replayed request replays the grant's."""
+        grant_case = H.find_case(world, want_grant=True)
+        grant_subject = ledger.subject_id(world.users[grant_case[0]].public_key)
+        mined = []
+
+        def grant():
+            outcome = H.run_request(world, *grant_case)
+            mined.append(world.chain.blocks[outcome.heights[0]].transactions[0])
+            return outcome.verdict
+
+        def scenario(scenario_id):
+            return lambda: H.run_scenario(world, scenario_id).observed
+
+        def replayed_request():
+            return f"denied:{H._admit(world, grant_subject, mined[0]).reason.value}"
+
+        def reused_link():
+            link = list(world.storage_node.links.values())[-1]  # the grant's, as its user read it
+            world.clock.tick(1)
+            second = world.storage_node.redeem_link(
+                link.token, link.nonce, world.now(), block_height=world.chain.height
+            )
+            return f"denied:{H._deny(world, grant_subject, second).reason.value}"
+
+        return {
+            "grant": (grant, "allowed"),
+            "model-denied": (scenario(2), "denied:model-denied"),
+            "policy-denied": (scenario(3), "denied:policy-denied"),  # a DENY rule on the grant's pair
+            "wrong-resource": (
+                lambda: H.run_request(world, 0, 10**6, "read").verdict, "denied:wrong-resource"
+            ),
+            "outsider": (scenario(1), "denied:unauthenticated"),
+            "replayed request": (replayed_request, "denied:replay"),
+            "reused link": (reused_link, "denied:replay"),
+        }
 
     def test_cost_per_request_class(self, monkeypatch):
         # Counted at the libsodium calls, so a signature the verdict cache
@@ -622,41 +645,15 @@ class TestCryptoCounts:
         monkeypatch.setattr(
             ledger, "orjson", SimpleNamespace(**{**vars(orjson), "dumps": counted_dumps})
         )
+        verify_sig = crypto.verify_sig
 
-        grant_case = H.find_case(world, want_grant=True)
-        grant_subject = ledger.subject_id(world.users[grant_case[0]].public_key)
-        mined = []
+        def counted_verify_sig(*args):
+            counts["verify_sig"] += 1
+            return verify_sig(*args)
 
-        def grant():
-            outcome = H.run_request(world, *grant_case)
-            mined.append(world.chain.blocks[outcome.heights[0]].transactions[0])
-            return outcome.verdict
+        monkeypatch.setattr(crypto, "verify_sig", counted_verify_sig)
 
-        def scenario(scenario_id):
-            return lambda: H.run_scenario(world, scenario_id).observed
-
-        def replayed_request():
-            return f"denied:{H._admit(world, grant_subject, mined[0]).reason.value}"
-
-        def reused_link():
-            link = list(world.storage_node.links.values())[-1]  # the grant's, as its user read it
-            world.clock.tick(1)
-            second = world.storage_node.redeem_link(
-                link.token, link.nonce, world.now(), block_height=world.chain.height
-            )
-            return f"denied:{H._deny(world, grant_subject, second).reason.value}"
-
-        rows = {
-            "grant": (grant, "allowed"),
-            "model-denied": (scenario(2), "denied:model-denied"),
-            "policy-denied": (scenario(3), "denied:policy-denied"),  # a DENY rule on the grant's pair
-            "wrong-resource": (
-                lambda: H.run_request(world, 0, 10**6, "read").verdict, "denied:wrong-resource"
-            ),
-            "outsider": (scenario(1), "denied:unauthenticated"),
-            "replayed request": (replayed_request, "denied:replay"),
-            "reused link": (reused_link, "denied:replay"),
-        }
+        rows = self.request_classes(world)
         assert list(rows) == list(self.COSTS)
         observed = {}
         for name, (run, verdict) in rows.items():
@@ -668,13 +665,55 @@ class TestCryptoCounts:
                 counts["verify"], counts["sign"], counts["x25519"], counts["aead"],
                 world.chain.height - start,
                 sum(len(ledger.block_canonical_bytes(b)) + 1 for b in world.chain.blocks[start:]),
-                encodings,
+                encodings, counts["verify_sig"],
             )
         assert observed == self.COSTS
 
+    def test_contracts_run_on_the_request_just_mined(self, monkeypatch):
+        # The contracts check no signature or freshness of their own: they
+        # rely on each request having just been accepted by block
+        # validation, in the tip block, at the clock's time, within the
+        # genesis window of that block.
+        world = H.setup_world(3, 30, 12, seed=0)
+        window = world.chain.genesis_payload["freshness_window"]
+        checked = []
+
+        def assert_just_mined(user_pk, resource_id, operation):
+            tip = world.chain.blocks[-1]
+            assert world.now() == tip.timestamp
+            (request,) = [
+                tx for tx in tip.transactions
+                if isinstance(tx, ledger.AccReqTx)
+                and (tx.user_pk, tx.resource_id, tx.operation) == (user_pk, resource_id, operation)
+            ]
+            assert abs(tip.timestamp - request.timestamp) <= window
+            return request
+
+        def spy(name):
+            inner = getattr(H, name)
+
+            def spied(first, *args, **kwargs):
+                request = assert_just_mined(
+                    first.user_pk, first.resource_id, first.operation
+                )
+                if name == "authenticate":
+                    assert request is first
+                checked.append(name)
+                return inner(first, *args, **kwargs)
+
+            monkeypatch.setattr(H, name, spied)
+
+        spy("authenticate")
+        spy("authorize")
+        for name, (run, verdict) in self.request_classes(world).items():
+            assert run() == verdict, name
+        # authorize runs on every mined request but the outsider's
+        assert Counter(checked) == {"authenticate": 5, "authorize": 4}
+
     def test_readme_cost_table_is_the_pinned_one(self):
         text = README.read_text(encoding="utf-8")
-        header = "| class | Ed25519 verify | sign | X25519 | AEAD | blocks | chain bytes | encodings |"
+        header = ("| class | Ed25519 verify | sign | X25519 | AEAD | blocks | chain bytes | encodings "
+                  "| verify_sig calls |")
         rows = text.split(header, 1)[1].strip().splitlines()[1:]  # past the |---| line
         table = {}
         for row in itertools.takewhile(lambda line: line.strip().startswith("|"), rows):
