@@ -1,9 +1,13 @@
 """The decision engine's two smart contracts and the priority-rule store.
 
-Authentication checks that the requesting key is registered in chain
-memory, that the request is fresh, and that its signature verifies; on
-success it encodes the registered user metadata into a bit vector and
-hands an in-process verified payload to authorization.  The
+The contracts run over an access request that block validation has just
+accepted into the tip block, so they check only what it did not.  Its
+signature, its nonce and its time, within the genesis freshness window of
+the block's, are already established, and re-checking them against the
+same chain would give the same answer.  Authentication checks that the
+requesting key is registered in chain memory, which block validation does
+not ask; on success it encodes the registered user metadata into a bit
+vector and hands an in-process verified payload to authorization.  The
 payload never goes on chain: it is derived from the signed access request
 and the metadata registered on chain, so a copy on chain would add
 nothing but a record a validator could forge.
@@ -15,8 +19,9 @@ clears the operations it names, ALLOW sets them, and no match leaves the
 model's mask untouched.  Banning a user inserts a DENY-all rule at the
 front of the order, so every later decision for that user fails closed.
 
-All functions here are pure over their inputs; rule-store mutation is
-serialized by the caller through the single ledger writer.
+All functions here are pure over their inputs, which are the mined request
+and chain state, and read no clock; rule-store mutation is serialized by
+the caller through the single ledger writer.
 """
 
 from __future__ import annotations
@@ -26,15 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
 
-from . import crypto
-from .ledger import (
-    DEFAULT_FRESHNESS_WINDOW,
-    AccReqTx,
-    resource_key,
-    signing_bytes,
-    subject_id,
-    user_key,
-)
+from .ledger import AccReqTx, resource_key, subject_id, user_key
 from .model import (
     DecisionModel,
     N_OPERATIONS,
@@ -72,7 +69,6 @@ class Denial:
 class VerifiedPayload:
     """Successful authentication result, input to authorization."""
 
-    timestamp: int
     user_bits: tuple[int, ...]
     user_pk: bytes
     resource_id: int
@@ -175,42 +171,19 @@ class RuleStore:
 # Contract functions
 # ---------------------------------------------------------------------------
 
-def access_verification(
-    tx: AccReqTx,
-    memory: Mapping[str, Any],
-    now: int,
-    window: int = DEFAULT_FRESHNESS_WINDOW,
-) -> bool:
-    """Membership, freshness, and signature check for an access request.
+def authenticate(tx: AccReqTx, memory: Mapping[str, Any]) -> VerifiedPayload | Denial:
+    """Authentication contract: refuse a key not registered in chain
+    memory, else return the in-process hand-off to :func:`authorize`.
 
-    Defaults to False; True only when the requesting key hash is registered
-    in chain memory, the timestamp is inside the freshness window, and the
-    signature verifies over the request's canonical bytes.
+    ``tx`` is a request block validation has accepted, so its signature
+    and freshness are not checked again.  The user bits encode the
+    metadata registered for the key at setup time, not the key itself.
     """
-    if user_key(tx.user_pk) not in memory:
-        return False
-    if abs(now - tx.timestamp) > window:
-        return False
-    return crypto.verify_sig(tx.user_pk, signing_bytes(tx), tx.sig)
-
-
-def authenticate(
-    tx: AccReqTx,
-    memory: Mapping[str, Any],
-    now: int,
-    window: int = DEFAULT_FRESHNESS_WINDOW,
-) -> VerifiedPayload | Denial:
-    """Authentication contract: verify the requester and return the
-    in-process hand-off to :func:`authorize`.
-
-    The user bits encode the metadata registered for the key at setup time,
-    not the key itself.
-    """
-    if not access_verification(tx, memory, now, window):
-        return Denial(DenialReason.UNAUTHENTICATED, "access verification failed")
+    user = memory.get(user_key(tx.user_pk))
+    if user is None:
+        return Denial(DenialReason.UNAUTHENTICATED, "key not registered")
     return VerifiedPayload(
-        timestamp=tx.timestamp,
-        user_bits=encode_attrs(memory[user_key(tx.user_pk)]["metadata"]),
+        user_bits=encode_attrs(user["metadata"]),
         user_pk=tx.user_pk,
         resource_id=tx.resource_id,
         operation=tx.operation,
@@ -239,14 +212,10 @@ def authorize(
     memory: Mapping[str, Any],
     model: DecisionModel,
     rules: RuleStore,
-    now: int,
-    window: int = DEFAULT_FRESHNESS_WINDOW,
     threshold: float = 0.5,
 ) -> AccessList | Denial:
     """Authorization contract: model inference, threshold, rule filter.  An
     uncatalogued resource or unknown operation is ``wrong-resource``."""
-    if abs(now - payload.timestamp) > window:
-        return Denial(DenialReason.STALE, "verified payload expired")
     resource = memory.get(resource_key(payload.resource_id))
     if resource is None:
         return Denial(

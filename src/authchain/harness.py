@@ -6,8 +6,9 @@ key material derives from the world seed, so a whole run (chain file,
 log export, outcomes) is byte-reproducible.
 
 A request walks the full pipeline: the signed access request is admitted
-to the mempool and mined; authentication verifies membership, freshness,
-and the signature; its in-process hand-off drives authorization (model
+to the mempool and mined, and block validation checks its signature,
+nonce and time; authentication then checks only that the key is
+registered; its in-process hand-off drives authorization (model
 inference filtered by priority rules) and never goes on chain; a grant
 becomes an encrypted single-use link issued by storage and mined; redeeming
 the link returns the content and logs the access on chain.  So a grant
@@ -247,10 +248,7 @@ def setup_world(
     # block holds, and the verdict cache answers every re-check
     now = clock.now()
     for kp, (_, attrs) in zip(users, dataset.users):
-        rejected = world.mempool.submit(
-            chain, make_setup(admin, kp.public_key, attrs, now), now,
-            config.freshness_window,
-        )
+        rejected = world.mempool.submit(chain, make_setup(admin, kp.public_key, attrs, now), now)
         if rejected is not None:
             raise ConfigError(f"setup transaction rejected during world bootstrap ({rejected})")
         if len(world.mempool) == config.batch_size:
@@ -300,7 +298,7 @@ def _deny(
 def _admit(world: World, subject_hash: str, accreq: AccReqTx) -> Denial | None:
     """Submit an access request to the mempool; a refusal goes through
     :func:`_deny` with the request's bytes and is returned."""
-    label = world.mempool.submit(world.chain, accreq, world.now(), world.config.freshness_window)
+    label = world.mempool.submit(world.chain, accreq, world.now())
     if label is None:
         return None
     reason = ADMISSION_DENIAL_REASONS.get(label, DenialReason.UNAUTHENTICATED)
@@ -352,21 +350,11 @@ def _run_request_locked(
 
     heights.append(_produce(world).height)
 
-    result = authenticate(
-        accreq, world.chain.memory, world.now(), cfg.freshness_window
-    )
+    result = authenticate(accreq, world.chain.memory)
     if isinstance(result, Denial):
         return outcome(_deny(world, subject, result, tx_canonical_bytes(accreq)))
 
-    decision = authorize(
-        result,
-        world.chain.memory,
-        world.model,
-        world.rules,
-        world.now(),
-        cfg.freshness_window,
-        cfg.threshold,
-    )
+    decision = authorize(result, world.chain.memory, world.model, world.rules, cfg.threshold)
     if isinstance(decision, Denial):
         return outcome(_deny(world, subject, decision, tx_canonical_bytes(accreq)))
 
@@ -381,7 +369,7 @@ def _run_request_locked(
     if isinstance(issued, Denial):
         return outcome(_deny(world, subject, issued))
 
-    world.mempool.submit(world.chain, issued, world.now(), cfg.freshness_window)
+    world.mempool.submit(world.chain, issued, world.now())
     heights.append(_produce(world).height)
 
     token, link_nonce = read_link_note(user.secret_key, issued)
@@ -392,7 +380,7 @@ def _run_request_locked(
         return outcome(_deny(world, subject, redeemed))
 
     content, storage_tx = redeemed
-    world.mempool.submit(world.chain, storage_tx, world.now(), cfg.freshness_window)
+    world.mempool.submit(world.chain, storage_tx, world.now())
     heights.append(_produce(world).height)
     return outcome(content=content)
 
@@ -549,7 +537,7 @@ def _tamper_replay_accreq(world: World) -> tuple[bool, str]:
         for tx in world.chain.blocks[outcome.heights[0]].transactions
         if isinstance(tx, AccReqTx) and tx.user_pk == user_pk
     )
-    world.clock.tick(world.config.freshness_window + 1)
+    world.clock.tick(world.chain.genesis_payload["freshness_window"] + 1)
     refused = _admit(world, subject_id(user_pk), captured)
     if refused is None:
         return False, "replayed request admitted"

@@ -553,24 +553,27 @@ class Mempool:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def submit(
-        self,
-        chain: Chain,
-        tx: Transaction,
-        now: int,
-        window: int = DEFAULT_FRESHNESS_WINDOW,
-    ) -> str | None:
+    def submit(self, chain: Chain, tx: Transaction, now: int) -> str | None:
         """Admit the transaction if it is fresh and correctly signed.
 
-        Rejection is a value, not an error: the :func:`rejection_reason`
-        label is returned, and None means the transaction was admitted.
+        Rejection is a value, not an error: None means the transaction was
+        admitted, else the first label that applies is returned: ``stale``
+        (dated more than the genesis freshness window from ``now``), any
+        :func:`check_tx` label, then ``replayed-nonce`` (an access
+        request's nonce already on the chain or pending here).
         """
-        reason = rejection_reason(chain, tx, now, window, pending=self._pending_nonces)
-        if reason is None:
-            self._queue.append(tx)
-            if isinstance(tx, AccReqTx):
-                self._pending_nonces.add(tx.nonce)
-        return reason
+        genesis_payload = chain.genesis_payload
+        if abs(now - tx.timestamp) > genesis_payload["freshness_window"]:
+            return "stale"
+        reason = check_tx(genesis_payload, tx)
+        if reason is not None:
+            return reason
+        if isinstance(tx, AccReqTx):
+            if chain.nonce_seen(tx.nonce) or tx.nonce in self._pending_nonces:
+                return "replayed-nonce"
+            self._pending_nonces.add(tx.nonce)
+        self._queue.append(tx)
+        return None
 
     def drain(self, max_count: int = DEFAULT_BATCH_SIZE) -> list[Transaction]:
         taken = self._queue[:max_count]
@@ -615,24 +618,6 @@ def check_tx(
         except ValueError:
             return "malformed"
     return None
-
-
-def rejection_reason(
-    chain: Chain,
-    tx: Transaction,
-    now: int,
-    window: int = DEFAULT_FRESHNESS_WINDOW,
-    pending: set[bytes] | None = None,
-) -> str | None:
-    """Why a transaction would be refused admission, or None if acceptable:
-    ``stale``, then any :func:`check_tx` label, then ``replayed-nonce``."""
-    if abs(now - tx.timestamp) > window:
-        return "stale"
-    reason = check_tx(chain.genesis_payload, tx)
-    if reason is None and isinstance(tx, AccReqTx):
-        if chain.nonce_seen(tx.nonce) or (pending and tx.nonce in pending):
-            return "replayed-nonce"
-    return reason
 
 
 def produce_block(

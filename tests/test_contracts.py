@@ -52,59 +52,25 @@ def subject_of(user) -> str:
     return crypto.hash_bytes(user.public_key).hex()
 
 
-class TestAccessVerification:
-    def test_registered_fresh_signed(self):
-        assert C.access_verification(accreq(), memory_with(), NOW)
-
-    def test_unregistered_pk(self):
-        assert not C.access_verification(accreq(user=OTHER), memory_with(), NOW)
-
-    def test_ten_minutes_stale(self):
-        tx = accreq(ts=NOW - 600)
-        assert not C.access_verification(tx, memory_with(), NOW)
-
-    def test_window_boundary(self):
-        assert C.access_verification(accreq(ts=NOW - 120), memory_with(), NOW)
-        assert not C.access_verification(accreq(ts=NOW - 121), memory_with(), NOW)
-
-    def test_bad_signature(self):
-        tx = accreq()
-        forged = ledger.AccReqTx(
-            user_pk=tx.user_pk,
-            timestamp=tx.timestamp,
-            resource_id=tx.resource_id,
-            operation="write",  # mutated after signing
-            nonce=tx.nonce,
-            sig=tx.sig,
-        )
-        assert not C.access_verification(forged, memory_with(), NOW)
-
-
 class TestAuthenticate:
     def test_user_bits_match_registered_metadata(self):
-        payload = C.authenticate(accreq(), memory_with(), NOW)
+        payload = C.authenticate(accreq(), memory_with())
         assert isinstance(payload, C.VerifiedPayload)
         expected = []
         for a in USER_ATTRS:
             expected.extend(M.binary_repr(a, 4))
         assert payload.user_bits == tuple(expected)
 
-    def test_payload_timestamp_equals_tx_timestamp(self):
-        payload = C.authenticate(accreq(ts=NOW - 7), memory_with(), NOW)
-        assert payload.timestamp == NOW - 7
-
     def test_unauthenticated_denial(self):
-        result = C.authenticate(accreq(user=OTHER), memory_with(), NOW)
+        result = C.authenticate(accreq(user=OTHER), memory_with())
         assert isinstance(result, C.Denial)
         assert result.reason == C.DenialReason.UNAUTHENTICATED
 
 
-def authorize_simple(model, rules=None, op="read", ts=NOW, resource_id=RESOURCE_ID):
-    payload = C.authenticate(
-        accreq(op=op, ts=ts, resource_id=resource_id), memory_with(), ts
-    )
+def authorize_simple(model, rules=None, op="read", resource_id=RESOURCE_ID):
+    payload = C.authenticate(accreq(op=op, resource_id=resource_id), memory_with())
     assert isinstance(payload, C.VerifiedPayload)
-    return C.authorize(payload, memory_with(), model, rules or C.RuleStore(), NOW)
+    return C.authorize(payload, memory_with(), model, rules or C.RuleStore())
 
 
 class TestAuthorize:
@@ -126,11 +92,6 @@ class TestAuthorize:
         assert isinstance(decision, C.Denial)
         assert decision.reason == C.DenialReason.POLICY_DENIED
 
-    def test_stale_payload(self):
-        decision = authorize_simple(GRANT_ALL, ts=NOW - 600)
-        assert isinstance(decision, C.Denial)
-        assert decision.reason == C.DenialReason.STALE
-
     def test_unknown_resource(self):
         decision = authorize_simple(GRANT_ALL, resource_id=999)
         assert isinstance(decision, C.Denial)
@@ -142,12 +103,12 @@ class TestAuthorize:
         assert (decision.reason, decision.mask) == (C.DenialReason.WRONG_RESOURCE, None)
 
     def test_empty_rules_equals_thresholded_inference(self):
-        payload = C.authenticate(accreq(), memory_with(), NOW)
+        payload = C.authenticate(accreq(), memory_with())
         scores = M.infer(READ_ONLY, payload.user_bits + tuple(
             b for a in RESOURCE_ATTRS for b in M.binary_repr(a, 4)
         ))
         expected = M.threshold_decide(scores, 0.5)
-        decision = C.authorize(payload, memory_with(), READ_ONLY, C.RuleStore(), NOW)
+        decision = C.authorize(payload, memory_with(), READ_ONLY, C.RuleStore())
         assert isinstance(decision, C.AccessList)
         assert decision.grants == expected
 
@@ -174,12 +135,12 @@ class TestAuthorize:
         assert decision.reason == C.DenialReason.MODEL_DENIED
 
     def test_purity_across_threads(self):
-        payload = C.authenticate(accreq(), memory_with(), NOW)
+        payload = C.authenticate(accreq(), memory_with())
         memory = memory_with()
         rules = C.RuleStore()
 
         def once(_):
-            return C.authorize(payload, memory, READ_ONLY, rules, NOW)
+            return C.authorize(payload, memory, READ_ONLY, rules)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(once, range(64)))

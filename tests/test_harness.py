@@ -570,10 +570,10 @@ class TestCryptoCounts:
     # chain bytes added, canonical encodings, verify_sig calls), run in
     # this order on one setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2152, 19, 10),
-        "model-denied": (2, 2, 0, 0, 1, 695, 10, 4),
-        "policy-denied": (2, 2, 0, 0, 1, 694, 10, 4),
-        "wrong-resource": (2, 2, 0, 0, 1, 700, 10, 4),
+        "grant": (6, 6, 3, 2, 3, 2152, 18, 9),
+        "model-denied": (2, 2, 0, 0, 1, 695, 9, 3),
+        "policy-denied": (2, 2, 0, 0, 1, 694, 9, 3),
+        "wrong-resource": (2, 2, 0, 0, 1, 700, 9, 3),
         "outsider": (2, 2, 1, 0, 1, 694, 9, 3),
         "replayed request": (0, 0, 0, 0, 0, 0, 4, 1),
         "reused link": (0, 0, 0, 0, 0, 0, 3, 0),
@@ -620,8 +620,9 @@ class TestCryptoCounts:
 
     def test_cost_per_request_class(self, monkeypatch):
         # Counted at the libsodium calls, so a signature the verdict cache
-        # answers costs nothing: authenticate's re-check of the request, and
-        # the replayed request, whose signature was checked on its first run.
+        # answers costs nothing: block validation's re-check of a transaction
+        # admission checked, and the replayed request, whose signature was
+        # checked on its first run.
         # X25519: a grant's link encryption (2) and the user's decryption of
         # it (1); an outsider's key derivation (1).
         crypto._x25519_public.cache_clear()  # before setup, so only the outsider's key is new
