@@ -627,7 +627,13 @@ def produce_block(
     timestamp: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Block:
-    """Drain the mempool into a signed block; proposer must be scheduled."""
+    """Drain the mempool into a signed block; proposer must be scheduled.
+
+    A drained access request dated more than the genesis freshness window
+    from ``timestamp`` is left out, since :func:`validate_block` would
+    refuse a block holding it (an old one can never be mined, as block
+    times never go back); like every drained transaction, its nonce is no
+    longer pending."""
     height = chain.height
     scheduled = chain.validator_set.scheduled(height)
     if proposer.public_key != scheduled:
@@ -635,10 +641,14 @@ def produce_block(
             f"validator not scheduled for height {height} "
             f"(expected index {height % len(chain.validator_set)})"
         )
+    window = chain.genesis_payload["freshness_window"]
     block = Block(
         height=height,
         prev_hash=chain.tip_hash(),
-        transactions=tuple(mempool.drain(batch_size)),
+        transactions=tuple(
+            tx for tx in mempool.drain(batch_size)
+            if not (isinstance(tx, AccReqTx) and abs(timestamp - tx.timestamp) > window)
+        ),
         timestamp=timestamp,
     )
     return signed(block, proposer)

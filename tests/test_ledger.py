@@ -34,7 +34,7 @@ USERS = [kp(f"user-{i}") for i in range(4)]
 ATTRS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
-def fresh_chain(resources=None) -> ledger.Chain:
+def fresh_chain(resources=None, freshness_window=ledger.DEFAULT_FRESHNESS_WINDOW) -> ledger.Chain:
     return ledger.genesis(
         ledger.ValidatorSet(tuple(v.public_key for v in VALIDATORS)),
         ADMIN.public_key,
@@ -42,6 +42,7 @@ def fresh_chain(resources=None) -> ledger.Chain:
         timestamp=1_700_000_000,
         storage_pk=STORAGE.public_key,
         resources=resources or {},
+        freshness_window=freshness_window,
     )
 
 
@@ -243,6 +244,13 @@ class TestSubmit:
         beyond = ledger.make_accreq(USERS[0], 1, "read", bytes(1) * 16, self.now - 121)
         assert self.mempool.submit(self.chain, at_edge, self.now) is None
         assert self.mempool.submit(self.chain, beyond, self.now) == "stale"
+
+    def test_window_is_the_genesis_one(self):
+        chain = fresh_chain(freshness_window=77)
+        at_edge = ledger.make_accreq(USERS[0], 1, "read", bytes(16), self.now - 77)
+        beyond = ledger.make_accreq(USERS[0], 1, "read", bytes(1) * 16, self.now - 78)
+        assert self.mempool.submit(chain, at_edge, self.now) is None
+        assert self.mempool.submit(chain, beyond, self.now) == "stale"
 
     def test_setup_by_non_admin_rejected(self):
         impostor = kp("impostor")
@@ -620,6 +628,23 @@ class TestBlockTime:
     ):
         block = self.mine_request(scenario_world, request_after, block_after)
         assert ledger.validate_block(scenario_world.chain, block)
+
+    @pytest.mark.parametrize("age, kept", [(WINDOW, False), (WINDOW - 1, True)],
+                             ids=["past-the-window", "at-the-edge"])
+    def test_produce_block_leaves_out_a_request_its_block_cannot_hold(self, age, kept):
+        # admitted at the window's edge, then mined a second later: the
+        # request is one second past the window of its block
+        chain, mempool = fresh_chain(), ledger.Mempool()
+        now = chain.blocks[-1].timestamp + 10 * self.WINDOW
+        request = ledger.make_accreq(USERS[0], 1, "read", bytes(16), now - age)
+        assert mempool.submit(chain, request, now) is None
+        block = mine(chain, mempool, now + 1)
+        assert block.transactions == ((request,) if kept else ())
+        assert len(mempool) == 0
+        assert ledger.validate_chain(chain)
+        # a left-out request's nonce is neither pending nor on chain
+        again = ledger.make_accreq(USERS[0], 2, "read", request.nonce, now + 1)
+        assert mempool.submit(chain, again, now + 1) == ("replayed-nonce" if kept else None)
 
 
 @dataclass(frozen=True)
