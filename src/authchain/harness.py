@@ -15,10 +15,10 @@ the link returns the content and logs the access on chain.  So a grant
 mines three blocks (access request, link, storage record), a refusal after
 admission mines one (its access request), and a refusal at admission
 mines none.  Every refusal at any stage lands exactly once in storage's
-malicious-activity log and is rolled into its root, and repeated misuse
-trips the ban rule.  The rules and the log root have one copy each, in
-the rule store and the log; :func:`save_world_artifacts` writes the state
-sidecar from them.
+malicious-activity log, whose root moves one step with that record, and
+repeated misuse trips the ban rule.  The rules and the log root have one
+copy each, in the rule store and the log; :func:`save_world_artifacts`
+writes the state sidecar from them.
 """
 
 from __future__ import annotations
@@ -275,15 +275,14 @@ def _deny(
     world: World, subject_hash: str, denial: Denial, offending_bytes: bytes | None = None
 ) -> Denial:
     """The one exit for a refusal, returning ``denial``: log it (given the
-    bytes; storage logs its own refusals), roll it into the log root, and
-    ban the subject once it reaches the ban rule."""
+    bytes; storage logs its own refusals) and ban the subject once it
+    reaches the ban rule."""
     node, cfg = world.storage_node, world.config
     if offending_bytes is not None:
         node.record_malicious(
             offending_bytes, denial.reason, denial.mask, subject_hash,
             world.chain.height, world.now(),
         )
-    node.roll_log()
     if (
         subject_hash != UNKNOWN_SUBJECT
         and subject_hash not in world.rules.banned
@@ -622,8 +621,8 @@ def save_world_artifacts(
     """Write the chain file, the contract-state sidecar, and the log export.
 
     The sidecar is written from the rule store and the log as they are
-    now: the rules (with the bans), the log's rolling root and its
-    per-group history.  All three are canonical-serialized, so two runs
+    now: the rules (with the bans), the log's running root and its
+    per-record history.  All three are canonical-serialized, so two runs
     from the same seed produce byte-identical files.
     """
     log = world.storage_node.log
@@ -645,7 +644,7 @@ def load_contract_state(path) -> dict:
     it is one canonical line (as :func:`save_world_artifacts` writes it)
     holding an object whose log root is present and a lower-case string
     and whose root history is a list of ``{"root": str, "height": int}``
-    entries, each root lower-case too."""
+    entries with no other key, each root lower-case too."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -666,7 +665,8 @@ def load_contract_state(path) -> dict:
         raise FormatError(f"state file: {STATE_ROOT_KEY} is not lower-case hex")
     history = state.get(STATE_ROOT_HISTORY_KEY, [])
     if not isinstance(history, list) or not all(
-        isinstance(h, dict) and isinstance(h.get("root"), str) and isinstance(h.get("height"), int)
+        isinstance(h, dict) and h.keys() == {"height", "root"}
+        and isinstance(h["root"], str) and isinstance(h["height"], int)
         for h in history
     ):
         raise FormatError(f"state file: malformed {STATE_ROOT_HISTORY_KEY}")

@@ -123,23 +123,6 @@ class LogicalClock:
         return self.t
 
 
-def merkle_root(digests: list[bytes]) -> bytes:
-    """Binary Merkle root over leaf digests; odd layers duplicate the last
-    node; a single leaf is its own root; an empty list hashes to zero.
-    """
-    if not digests:
-        return ZERO_DIGEST
-    layer = list(digests)
-    while len(layer) > 1:
-        paired = []
-        for i in range(0, len(layer), 2):
-            left = layer[i]
-            right = layer[i + 1] if i + 1 < len(layer) else layer[i]
-            paired.append(crypto.hash_bytes(left + right))
-        layer = paired
-    return layer[0]
-
-
 # ---------------------------------------------------------------------------
 # Transactions
 # ---------------------------------------------------------------------------

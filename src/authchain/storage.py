@@ -10,24 +10,23 @@ keeps its redeemed flag in the storage state, so replay protection
 survives a restart.
 
 Every denial anywhere in the pipeline becomes one record in the
-malicious-activity log.  Records roll into a tamper-evident chain of
-roots: each flush Merkle-hashes the new records, appends the serialized
-contract outputs, and hashes them onto the previous root.  The running
-root and its per-group history are kept here only; the harness writes
-them to the state sidecar beside the chain file, so an exported log can
-be cross-checked against them.
+malicious-activity log.  Each record moves the log's tamper-evident root
+one step: the new root is the hash of the previous root and the record's
+canonical bytes, which hold the offending bytes, the reason and the
+contract's output mask.  The running root and its per-record history are
+kept here only; the harness writes them to the state sidecar beside the
+chain file, so an exported log can be cross-checked against them.
 
-A denial's log work does not grow with history: a roll visits only the
-records appended since the previous roll, and the ban check reads a
-per-subject sorted list of ban-counted wall times instead of scanning
-every record.
+A denial's log work does not grow with history: a record costs one
+encoding and one hash, and the ban check reads a per-subject sorted list
+of ban-counted wall times instead of scanning every record.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import crypto
@@ -40,7 +39,6 @@ from .ledger import (
     canonical_bytes,
     make_link,
     make_storage,
-    merkle_root,
     parse_canonical_lines,
     subject_id,
     write_canonical_lines,
@@ -84,7 +82,6 @@ class MaliciousRecord:
     output_mask: tuple[bool, ...] | None
     subject_hash: str
     wall_time: int
-    group_index: int | None = None  # assigned when rolled into the root
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +92,6 @@ class MaliciousRecord:
             "output_mask": list(self.output_mask) if self.output_mask is not None else None,
             "subject": self.subject_hash,
             "wall_time": self.wall_time,
-            "group_index": self.group_index,
         }
 
     @classmethod
@@ -113,54 +109,24 @@ class MaliciousRecord:
                 ),
                 subject_hash=str(d["subject"]),
                 wall_time=int(d["wall_time"]),
-                group_index=(
-                    int(d["group_index"]) if d["group_index"] is not None else None
-                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed malicious record: {exc}") from exc
 
 
-def record_digest(record: MaliciousRecord) -> bytes:
-    return crypto.hash_bytes(canonical_bytes(record.to_dict()))
-
-
-def block_merkle_root(records: list[MaliciousRecord]) -> bytes:
-    """Merkle root over one block's record digests (empty is an error)."""
-    if not records:
-        raise ValueError("cannot build a Merkle root over zero records")
-    return merkle_root([record_digest(r) for r in records])
-
-
-def group_output_bytes(records: list[MaliciousRecord]) -> bytes:
-    """Serialized contract outputs for one block of records."""
-    return canonical_bytes(
-        [
-            {
-                "reason": r.reason,
-                "mask": list(r.output_mask) if r.output_mask is not None else None,
-            }
-            for r in records
-        ]
-    )
-
-
-def roll_root(
-    prev_root: bytes, records: list[MaliciousRecord], output_bytes: bytes
-) -> bytes:
-    """New running root: hash of the previous root, the block's Merkle root,
-    and the serialized contract outputs."""
-    return crypto.hash_bytes(prev_root + block_merkle_root(records) + output_bytes)
+def next_root(prev_root: bytes, record: MaliciousRecord) -> bytes:
+    """The log's root after ``record``: the hash of the previous root and
+    the record's canonical bytes."""
+    return crypto.hash_bytes(prev_root + canonical_bytes(record.to_dict()))
 
 
 class MaliciousLog:
-    """Append-only denial records with a rolling tamper-evident root."""
+    """Append-only denial records with a tamper-evident running root."""
 
     def __init__(self) -> None:
         self.records: list[MaliciousRecord] = []
         self.root: bytes = ZERO_DIGEST
-        self._roots: list[tuple[int, bytes]] = []  # (height, running root) per rolled group
-        self._rolled = 0  # records[:_rolled] are in a group, the rest pending
+        self._roots: list[tuple[int, bytes]] = []  # (height, running root) per record
         # subject -> sorted wall times of its BAN_COUNTED_REASONS records
         self._ban_times: dict[str, list[int]] = {}
 
@@ -186,35 +152,17 @@ class MaliciousLog:
             wall_time=wall_time,
         )
         self.records.append(rec)
+        self.root = next_root(self.root, rec)
+        self._roots.append((block_height, self.root))
         if reason in BAN_COUNTED_REASONS:
             insort(self._ban_times.setdefault(subject_hash, []), wall_time)
         return rec
 
-    def pending(self) -> list[MaliciousRecord]:
-        return self.records[self._rolled:]
-
-    def roll(self) -> bytes:
-        """Fold all pending records into the running root as one group,
-        replacing only the pending tail of ``records`` in place."""
-        pending = self.pending()
-        if not pending:
-            return self.root
-        group = len(self._roots)
-        rolled = [replace(r, group_index=group) for r in pending]
-        self.records[self._rolled:] = rolled
-        self._rolled = len(self.records)
-        self.root = roll_root(self.root, rolled, group_output_bytes(rolled))
-        self._roots.append((max(r.block_height for r in rolled), self.root))
-        return self.root
-
     @property
     def history(self) -> list[dict]:
-        """The running root after each rolled group, as the state sidecar
-        holds it: ``{"group", "height", "root"}`` per group, root in hex."""
-        return [
-            {"group": group, "height": height, "root": root.hex()}
-            for group, (height, root) in enumerate(self._roots)
-        ]
+        """The running root after each record, as the state sidecar holds
+        it: ``{"height", "root"}`` per record, root in hex."""
+        return [{"height": height, "root": root.hex()} for height, root in self._roots]
 
 
 @dataclass(frozen=True)
@@ -233,29 +181,17 @@ def verify_log(
     stored_root: bytes,
     stored_history: list[dict] | None = None,
 ) -> LogVerification:
-    """Recompute the rolling root over all record groups and compare it to
-    the stored root (the log's own, or the state sidecar's).
+    """Fold the root step over the records in file order and compare the
+    result to the stored root (the log's own, or the state sidecar's).
 
-    With the stored per-group history available, reports the block height
-    of the first group whose running root diverges.
+    With the stored per-record history available, reports the block
+    height of the first record whose running root diverges.
     """
-    records = list(records)
-    unrolled = [r for r in records if r.group_index is None]
-    if unrolled:
-        return LogVerification(
-            ok=False,
-            computed_root=ZERO_DIGEST,
-            first_divergent_height=min(r.block_height for r in unrolled),
-        )
-    groups: dict[int, list[MaliciousRecord]] = {}
-    for r in records:
-        groups.setdefault(r.group_index, []).append(r)  # type: ignore[arg-type]
     root = ZERO_DIGEST
     recomputed: list[tuple[int, bytes]] = []
-    for gi in sorted(groups):
-        block = sorted(groups[gi], key=lambda r: r.seq)
-        root = roll_root(root, block, group_output_bytes(block))
-        recomputed.append((max(r.block_height for r in block), root))
+    for r in records:
+        root = next_root(root, r)
+        recomputed.append((r.block_height, root))
 
     if stored_history is not None:
         length = max(len(recomputed), len(stored_history))
@@ -354,10 +290,6 @@ class StorageNode:
             return self.log.record(
                 tx_bytes, reason, output_mask, subject_hash, block_height, wall_time
             )
-
-    def roll_log(self) -> bytes:
-        with self._lock:
-            return self.log.roll()
 
     # -- links ----------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 
 from authchain.harness import World, setup_world
 
+pytest_plugins = ["pytester"]
 
 SMALL = dict(n_validators=3, n_users=10, n_resources=10, seed=42)
 

@@ -69,7 +69,7 @@ def test_criterion_2_replay_prevention(default_world):
 
 def test_criterion_3_log_tamper_evidence(tmp_path):
     world = build_small_world(seed=17)
-    # produce a few denials so the log has structure (several groups)
+    # produce a few denials so the log holds several records
     for i in range(4):
         H.run_request(world, i, 10**6 + i, "read")
     records = world.storage_node.log.records

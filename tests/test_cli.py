@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from authchain import crypto
 from authchain.bench import ENGINES
 from authchain.cli import _build_world, _config_from_args, build_parser, dispatch
 from authchain.config import Config, load_config
 from authchain.errors import ConfigError
 from authchain.harness import TAMPER_MUTATIONS, setup_world
-from authchain.ledger import AccReqTx, canonical_bytes, load_chain, merkle_root, tx_canonical_bytes
+from authchain.ledger import AccReqTx, canonical_bytes, load_chain, tx_canonical_bytes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -242,9 +241,7 @@ class TestWorldCommands:
         genesis["format"] = 2
         del genesis["freshness_window"]
         for block in blocks:
-            block["tx_root"] = merkle_root(
-                [crypto.hash_bytes(canonical_bytes(tx)) for tx in block["transactions"]]
-            ).hex()
+            block["tx_root"] = "ab" * 32  # refused by its key, whatever its value
         chain_file.write_bytes(b"\n".join(canonical_bytes(b) for b in blocks) + b"\n")
         assert dispatch(["verify-chain", "--chain", str(chain_file)]) == 1
         assert capsys.readouterr().out == (
@@ -314,13 +311,16 @@ class TestWorldCommands:
             {"malicious_root": "0" * 64, "malicious_roots": [{"root": "00"}]},
             {"malicious_root": "AB" * 32},
             {"malicious_root": "0" * 64,
-             "malicious_roots": [{"group": 0, "height": 3, "root": "AB" * 32}]},
+             "malicious_roots": [{"height": 3, "root": "AB" * 32}]},
+            # a history entry of the grouped format, one root per group
+            {"malicious_root": "0" * 64,
+             "malicious_roots": [{"group": 0, "height": 3, "root": "00" * 32}]},
             # the empty log's own root, re-encoded
             json.dumps({"malicious_root": "0" * 64, "malicious_roots": []}, indent=2).encode(),
         ],
         ids=["list", "no-root", "numeric-root", "history-without-root",
              "history-without-height", "upper-case-root", "upper-case-history-root",
-             "indented"],
+             "history-with-group", "indented"],
     )
     def test_verify_log_malformed_state_unreadable(self, tmp_path, capsys, state):
         log_file = tmp_path / "log.jsonl"

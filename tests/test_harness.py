@@ -317,14 +317,14 @@ class TestResidentMemory:
         ]:
             H.run_request(world, *case)
         assert world.storage_node.log.history == [
-            {"group": 0, "height": 3,
-             "root": "3056410e3f96b8db0e3d1563643e0f6c4efa61d08f442da5c750d3f75ed82306"},
-            {"group": 1, "height": 4,
-             "root": "cdda9de44b0944e57f783f7ecaeffbf1b86af1b21a28b131b08bd2402898ee1b"},
-            {"group": 2, "height": 5,
-             "root": "00ec72b7bdcf589d18059158608bf8f52f84ff2886165005217775a050476976"},
-            {"group": 3, "height": 9,
-             "root": "551b3d266091bfa2e6c5bc238f0207a956182d5ab7a6d17813c6447b778c8ab0"},
+            {"height": 3,
+             "root": "ca9766afa06d801c080e1eea7d42a2c3374fbbb0cf0facdafa50e5bc6f95e8f9"},
+            {"height": 4,
+             "root": "e6e4221d4fb9bf5fc2a41027fc3b9568a1d55ec8ec9c26089ebbf90c55fbc2df"},
+            {"height": 5,
+             "root": "9939a63fdcfe80758b145ed40e90232c42adb0479ba6d3fd5e46f701db39f06d"},
+            {"height": 9,
+             "root": "3765ed887ebcf180ba5f15017118dcc1c8808c666fe36b64f27c2022424afdbb"},
         ]
 
 
@@ -427,7 +427,7 @@ class TestTamper:
 
     def test_replay_denial_rolled_under_the_world_lock(self, monkeypatch):
         world = build_small_world(seed=7)
-        seen = probe_lock_during(monkeypatch, world, world.storage_node, "roll_log")
+        seen = probe_lock_during(monkeypatch, world, world.storage_node, "record_malicious")
         assert H.tamper(world, "reuse-link").caught
         assert seen and not any(seen)
 
@@ -571,12 +571,12 @@ class TestCryptoCounts:
     # this order on one setup_world(3, 30, 12, 0)
     COSTS = {
         "grant": (6, 6, 3, 2, 3, 2152, 18, 9),
-        "model-denied": (2, 2, 0, 0, 1, 695, 9, 3),
-        "policy-denied": (2, 2, 0, 0, 1, 694, 9, 3),
-        "wrong-resource": (2, 2, 0, 0, 1, 700, 9, 3),
-        "outsider": (2, 2, 1, 0, 1, 694, 9, 3),
-        "replayed request": (0, 0, 0, 0, 0, 0, 4, 1),
-        "reused link": (0, 0, 0, 0, 0, 0, 3, 0),
+        "model-denied": (2, 2, 0, 0, 1, 695, 8, 3),
+        "policy-denied": (2, 2, 0, 0, 1, 694, 8, 3),
+        "wrong-resource": (2, 2, 0, 0, 1, 700, 8, 3),
+        "outsider": (2, 2, 1, 0, 1, 694, 8, 3),
+        "replayed request": (0, 0, 0, 0, 0, 0, 3, 1),
+        "reused link": (0, 0, 0, 0, 0, 0, 2, 0),
     }
 
     @staticmethod
@@ -774,8 +774,8 @@ class TestArtifacts:
         H.save_world_artifacts(world, *paths)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
             "8e0967d588edffff11eb9c920ac4a7ca17c88f5d2ccb3f1d512895310e48436f",
-            "fe90d64df36b72fc55c32fa1b023adadd6cabb18141f0759d23f7516d9b9cc4b",
-            "81408c33354475e384d0ade3c7f7e1008f77a0531652873ab369b5d2e47911b5",
+            "39b6ff7a6d30e7eb5bb656c8590ee9c55c1b30ae91e993b37de26855379fc1bd",
+            "252384b8a301a94e06db1bcf4348f39b5832ccb8ca778f2cef6ca40a56783e65",
         ]
 
     def test_state_sidecar_holds_rules_added_before_any_ban(self, tmp_path):

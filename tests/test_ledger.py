@@ -143,26 +143,6 @@ class TestCanonicalBytes:
             ledger.parse_canonical_lines(b"1\n" + line, lambda v: Wrapped(int(v)), "value")
 
 
-class TestMerkleRoot:
-    def test_empty_is_zero(self):
-        assert ledger.merkle_root([]) == bytes(32)
-
-    def test_single_leaf_is_itself(self):
-        leaf = crypto.hash_bytes(b"r")
-        assert ledger.merkle_root([leaf]) == leaf
-
-    def test_two_leaves(self):
-        a, b = crypto.hash_bytes(b"a"), crypto.hash_bytes(b"b")
-        assert ledger.merkle_root([a, b]) == crypto.hash_bytes(a + b)
-
-    def test_three_leaves_duplicates_last(self):
-        # hand-chained oracle: pair (a,b), duplicate c, then combine
-        a, b, c = (crypto.hash_bytes(x) for x in (b"a", b"b", b"c"))
-        left = crypto.hash_bytes(a + b)
-        right = crypto.hash_bytes(c + c)
-        assert ledger.merkle_root([a, b, c]) == crypto.hash_bytes(left + right)
-
-
 class TestGenesis:
     def test_three_validators_accepted(self):
         chain = fresh_chain()

@@ -1,4 +1,4 @@
-"""Storage checks: links, redemption, the log, and its rolling root."""
+"""Storage checks: links, redemption, the log, and its running root."""
 
 from __future__ import annotations
 
@@ -235,7 +235,7 @@ class TestRecords:
         assert restored.tx_bytes == original
 
 
-def record(seq: int, payload: bytes, group=0) -> S.MaliciousRecord:
+def record(seq: int, payload: bytes) -> S.MaliciousRecord:
     return S.MaliciousRecord(
         seq=seq,
         block_height=1,
@@ -244,104 +244,59 @@ def record(seq: int, payload: bytes, group=0) -> S.MaliciousRecord:
         output_mask=(False, False, False, False),
         subject_hash="s",
         wall_time=NOW,
-        group_index=group,
     )
-
-
-class TestBlockMerkleRoot:
-    def test_single_record_root_is_its_digest(self):
-        r = record(0, b"only")
-        assert S.block_merkle_root([r]) == S.record_digest(r)
-
-    def test_two_records(self):
-        r0, r1 = record(0, b"a"), record(1, b"b")
-        want = crypto.hash_bytes(S.record_digest(r0) + S.record_digest(r1))
-        assert S.block_merkle_root([r0, r1]) == want
-
-    def test_three_records_duplicate_last(self):
-        rs = [record(i, bytes([i])) for i in range(3)]
-        d = [S.record_digest(r) for r in rs]
-        left = crypto.hash_bytes(d[0] + d[1])
-        right = crypto.hash_bytes(d[2] + d[2])
-        assert S.block_merkle_root(rs) == crypto.hash_bytes(left + right)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            S.block_merkle_root([])
 
 
 class TestRollRoot:
     def test_fresh_log_root_is_zero(self):
         assert S.MaliciousLog().root == bytes(32)
 
-    def test_one_block_recomputable_with_hash_directly(self):
-        rs = [record(0, b"x"), record(1, b"y")]
-        out = S.group_output_bytes(rs)
-        got = S.roll_root(bytes(32), rs, out)
-        assert got == crypto.hash_bytes(bytes(32) + S.block_merkle_root(rs) + out)
+    def test_root_step_is_a_hash_of_the_previous_root_and_the_record(self):
+        log = S.MaliciousLog()
+        first = log.record(b"x", DenialReason.REPLAY, None, "s", 1, NOW)
+        second = log.record(b"y", DenialReason.MODEL_DENIED, (False,) * 4, "s", 2, NOW + 1)
+        root = bytes(32)
+        for r in (first, second):
+            root = crypto.hash_bytes(root + ledger.canonical_bytes(r.to_dict()))
+        assert log.root == root
+        assert log.history[-1] == {"height": 2, "root": root.hex()}
 
     def test_block_order_changes_root(self):
-        blocks = [[record(0, b"a", 0)], [record(1, b"b", 1)], [record(2, b"c", 2)]]
+        payloads = [b"a", b"b", b"c"]
         roots = set()
-        for perm in itertools.permutations(blocks):
-            root = bytes(32)
-            for blk in perm:
-                root = S.roll_root(root, list(blk), S.group_output_bytes(list(blk)))
-            roots.add(root)
-        assert len(roots) == 6  # every ordering distinct
-
-    def test_log_roll_groups_pending(self):
-        log = S.MaliciousLog()
-        log.record(b"a", DenialReason.REPLAY, None, "s", 1, NOW)
-        log.record(b"b", DenialReason.REPLAY, None, "s", 1, NOW)
-        first = log.roll()
-        assert all(r.group_index == 0 for r in log.records)
-        log.record(b"c", DenialReason.STALE, None, "s", 2, NOW + 1)
-        second = log.roll()
-        assert second != first
-        assert log.records[-1].group_index == 1
-        assert log.roll() == second  # nothing pending
-
-    def test_roll_replaces_only_the_pending_tail_in_place(self, monkeypatch):
-        log = S.MaliciousLog()
-        for i in range(1000):
-            log.record(b"old-%d" % i, DenialReason.REPLAY, None, "s", 1, NOW + i)
-            if i % 100 == 99:
-                log.roll()
-        records = log.records
-        earlier = list(records)
-        log.record(b"new", DenialReason.STALE, None, "s", 2, NOW + 1000)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return dataclasses.replace(*args, **kwargs)
-
-        monkeypatch.setattr(S, "replace", counted)
-        log.roll()
-        assert len(calls) == 1
-        assert log.records is records
-        assert all(now is then for now, then in zip(log.records, earlier))
-        assert log.records[-1].group_index == 10
-        assert log.pending() == []
+        for perm in itertools.permutations(payloads):
+            log = S.MaliciousLog()
+            for payload in perm:
+                log.record(payload, DenialReason.REPLAY, None, "s", 1, NOW)
+            roots.add(log.root)
+        assert len(roots) == 6  # every record order distinct
 
 
-def filled_log(n_groups: int = 3) -> S.MaliciousLog:
+def filled_log(n_heights: int = 3) -> S.MaliciousLog:
+    """h records at each height h = 1..n_heights."""
     log = S.MaliciousLog()
     reasons = [DenialReason.MODEL_DENIED, DenialReason.REPLAY, DenialReason.WRONG_RESOURCE]
-    for g in range(n_groups):
+    for g in range(n_heights):
         for i in range(g + 1):
             log.record(b"offense-%d-%d" % (g, i), reasons[g % 3],
                        None, f"subject-{i}", g + 1, NOW + g)
-        log.roll()
     return log
 
 
 class TestVerifyLog:
     def test_untampered_verified(self):
         log = filled_log()
+        assert len(log.history) == len(log.records)
         v = S.verify_log(log.records, log.root, log.history)
         assert v.ok and v.verdict == "Verified"
+
+    def test_record_is_in_the_root_once_written(self):
+        node = S.StorageNode(STORAGE_KEYS)
+        denial = node.redeem_link(bytes(S.TOKEN_SIZE), bytes(crypto.NONCE_SIZE), NOW)
+        assert denial.reason is DenialReason.WRONG_RESOURCE
+        log = node.log
+        assert S.verify_log(log.records, log.root, log.history).ok
+        assert len(log.history) == 1
 
     def test_flipped_byte_compromised(self):
         log = filled_log()
@@ -359,26 +314,17 @@ class TestVerifyLog:
 
     def test_inserted_record_compromised(self):
         log = filled_log()
-        forged = record(99, b"inserted", group=1)
+        forged = record(99, b"inserted")
         v = S.verify_log(list(log.records) + [forged], log.root, log.history)
-        assert not v.ok
-
-    def test_unrolled_record_compromised(self):
-        log = filled_log()
-        loose = S.MaliciousRecord(
-            seq=99, block_height=9, tx_bytes=b"x", reason="stale",
-            output_mask=None, subject_hash="s", wall_time=NOW, group_index=None,
-        )
-        v = S.verify_log(list(log.records) + [loose], log.root, log.history)
         assert not v.ok
 
     def test_divergence_height_points_at_first_bad_group(self):
         log = filled_log(3)
         records = list(log.records)
-        idx = next(i for i, r in enumerate(records) if r.group_index == 1)
+        idx = next(i for i, r in enumerate(records) if r.block_height == 2)
         records[idx] = dataclasses.replace(records[idx], tx_bytes=b"evil")
         v = S.verify_log(records, log.root, log.history)
-        assert v.first_divergent_height == 2  # group 1 was recorded at height 2
+        assert v.first_divergent_height == 2  # the first bad record was logged at height 2
 
     def test_export_import_round_trip(self, tmp_path):
         log = filled_log()
@@ -394,6 +340,10 @@ class TestVerifyLog:
         data = b"\n".join(ledger.canonical_bytes(r) for r in records)
         with pytest.raises(FormatError, match="^log line 3: malformed malicious record: 'reason'$"):
             S.parse_log_lines(data)
+        # a record of the older, grouped export format
+        grouped = dict(records[0], group_index=0)
+        with pytest.raises(FormatError, match="^log line 1: non-canonical encoding$"):
+            S.parse_log_lines(ledger.canonical_bytes(grouped))
 
 
 class TestBanThreshold:
@@ -447,10 +397,8 @@ class TestBanThreshold:
     @example([("s", DenialReason.MODEL_DENIED, NOW)], "s", NOW + 10, 1, 10)
     def test_matches_a_linear_scan(self, entries, subject, now, threshold, window):
         log = S.MaliciousLog()
-        for i, (who, reason, wall_time) in enumerate(entries):
+        for who, reason, wall_time in entries:
             log.record(b"t", reason, None, who, 1, wall_time)
-            if i % 7 == 6:
-                log.roll()
         counted = {r.value for r in BAN_COUNTED_REASONS}
         hits = sum(
             1
