@@ -18,17 +18,14 @@ A key pair bundles both capabilities: ``public_key`` is the 32-byte Ed25519
 verify key followed by the 32-byte X25519 encryption key; ``secret_key`` is
 the corresponding pair of 32-byte seeds.  Both halves derive
 deterministically from one 32-byte seed, so worlds rebuilt from the same
-seed carry identical identities.
+seed carry identical identities; a key pair whose Ed25519 verify key its
+secret does not derive is refused.
 
 Every operation is pure or draws from an explicitly injected
 :class:`RandomSource`; there is no hidden global randomness.  Expanded
 signing keys and the X25519 public keys of known seeds are kept in
 bounded per-process caches (``KEY_CACHE_SIZE`` entries each), so signing
 and decrypting with a known key skip the derivation.
-:func:`verify_sig` keeps the verdicts of the last ``VERIFY_CACHE_SIZE``
-distinct ``(public_key, message, signature)`` triples, so a signature
-checked twice on one request's path, or at admission and again when its
-block is validated, costs one Ed25519 verification.
 
 :func:`verify_all` verifies a stream of signatures, on every CPU the
 process may run on when the stream is long; the worker processes live only
@@ -57,10 +54,6 @@ PUBLIC_KEY_SIZE = 64
 SECRET_KEY_SIZE = 64
 SIGNATURE_SIZE = 64
 KEY_CACHE_SIZE = 4096  # keys held per derived-key cache (signing, X25519 public)
-# signature verdicts held, keyed by the exact triple; at least
-# ledger.DEFAULT_BATCH_SIZE, so validating a full block of just-admitted
-# transactions re-checks every signature from the cache
-VERIFY_CACHE_SIZE = 128
 # verify_all starts worker processes only for at least this many signatures;
 # below it, starting them costs more than they save
 PARALLEL_MIN_SIGNATURES = 2048
@@ -170,6 +163,8 @@ class KeyPair:
             raise ValueError(f"public key must be {PUBLIC_KEY_SIZE} bytes")
         if len(self.secret_key) != SECRET_KEY_SIZE:
             raise ValueError(f"secret key must be {SECRET_KEY_SIZE} bytes")
+        if _signing_key(self.secret_key[:32])[32:] != self.public_key[:32]:
+            raise ValueError("public key is not the one the secret key derives")
 
 
 def keygen(seed: bytes) -> KeyPair:
@@ -226,12 +221,6 @@ def verify_sig(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
-    return _ed25519_verdict(public_key, message, signature)
-
-
-@functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)
-def _ed25519_verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    # a pure function of the exact bytes, so a cached verdict is the verdict
     return _sodium.crypto_sign_verify_detached(signature, message, len(message), public_key[:32]) == 0
 
 

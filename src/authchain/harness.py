@@ -6,14 +6,14 @@ key material derives from the world seed, so a whole run (chain file,
 log export, outcomes) is byte-reproducible.
 
 A request walks the full pipeline: the signed access request is admitted
-to the mempool and mined, and block validation checks its signature,
-nonce and time; authentication then checks only that the key is
-registered; its in-process hand-off drives authorization (model
+to the mempool, which verifies its signature, then mined, and block
+validation checks its nonce and time; authentication then checks only that
+the key is registered; its in-process hand-off drives authorization (model
 inference filtered by priority rules) and never goes on chain; a grant
-becomes an encrypted single-use link issued by storage and mined; redeeming
-the link returns the content and logs the access on chain.  So a grant
-mines three blocks (access request, link, storage record), a refusal after
-admission mines one (its access request), and a refusal at admission
+becomes an encrypted single-use link issued by storage and mined;
+redeeming the link returns the content and logs the access on chain.  So a
+grant mines three blocks (access request, link, storage record), a refusal
+after admission mines one (its access request), and a refusal at admission
 mines none.  Every refusal at any stage lands exactly once in storage's
 malicious-activity log, whose root moves one step with that record, and
 repeated misuse trips the ban rule.  The rules and the log root have one
@@ -51,6 +51,7 @@ from .ledger import (
     LinkTx,
     LogicalClock,
     Mempool,
+    Transaction,
     ValidatorSet,
     append_block,
     block_canonical_bytes,
@@ -243,22 +244,25 @@ def setup_world(
         users=users,
     )
 
-    # each full batch is mined as soon as it is admitted, so no more
-    # signatures wait between admission and block validation than one
-    # block holds, and the verdict cache answers every re-check
     now = clock.now()
     for kp, (_, attrs) in zip(users, dataset.users):
-        rejected = world.mempool.submit(chain, make_setup(admin, kp.public_key, attrs, now), now)
-        if rejected is not None:
-            raise ConfigError(f"setup transaction rejected during world bootstrap ({rejected})")
-        if len(world.mempool) == config.batch_size:
-            _produce(world)
-    if len(world.mempool):
+        _submit_own(world, make_setup(admin, kp.public_key, attrs, now))
+    while len(world.mempool):
         _produce(world)
     return world
 
 
+def _submit_own(world: World, tx: Transaction) -> None:
+    """Admit a transaction the world signed, else raise :class:`ConfigError`."""
+    label = world.mempool.submit(world.chain, tx, world.now())
+    if label is not None:
+        raise ConfigError(f"{tx.kind} transaction rejected at admission ({label})")
+
+
 def _produce(world: World) -> Block:
+    """Mine the mempool into the next block and append it.  The block's own
+    signature, just made with the scheduled key, and its transactions',
+    each verified by ``Mempool.submit``, are not verified again."""
     world.clock.tick(1)
     block = produce_block(
         world.chain,
@@ -267,7 +271,10 @@ def _produce(world: World) -> Block:
         world.clock.now(),
         world.config.batch_size,
     )
-    append_block(world.chain, block)
+    trusted = {block.sig, *(tx.sig for tx in block.transactions)}
+    append_block(
+        world.chain, block, lambda pk, msg, sig: sig in trusted or crypto.verify_sig(pk, msg, sig)
+    )
     return block
 
 
@@ -368,7 +375,7 @@ def _run_request_locked(
     if isinstance(issued, Denial):
         return outcome(_deny(world, subject, issued))
 
-    world.mempool.submit(world.chain, issued, world.now())
+    _submit_own(world, issued)
     heights.append(_produce(world).height)
 
     token, link_nonce = read_link_note(user.secret_key, issued)
@@ -379,7 +386,7 @@ def _run_request_locked(
         return outcome(_deny(world, subject, redeemed))
 
     content, storage_tx = redeemed
-    world.mempool.submit(world.chain, storage_tx, world.now())
+    _submit_own(world, storage_tx)
     heights.append(_produce(world).height)
     return outcome(content=content)
 

@@ -133,6 +133,12 @@ class TestKeygen:
         with pytest.raises(ValueError):
             crypto.keygen(b"short")
 
+    def test_public_key_must_be_the_one_the_secret_derives(self):
+        alice, bob = crypto.keygen(b"a" * 32), crypto.keygen(b"b" * 32)
+        assert crypto.KeyPair(alice.public_key, alice.secret_key) == alice
+        with pytest.raises(ValueError, match="^public key is not the one the secret key derives$"):
+            crypto.KeyPair(alice.public_key, bob.secret_key)
+
     def test_sign_roundtrip_for_any_seed(self):
         for i in range(8):
             pair = crypto.keygen(bytes([i]) * 32)
@@ -320,30 +326,6 @@ class TestRuntimeImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
-
-
-class TestVerifyCache:
-    def setup_method(self):
-        self.alice = crypto.keygen(b"v" * 32)
-        self.message = b"cached access request"
-        self.sig = crypto.sign(self.alice.secret_key, self.message)
-
-    def test_bounded_by_module_constant(self):
-        assert crypto._ed25519_verdict.cache_info().maxsize == crypto.VERIFY_CACHE_SIZE
-
-    def test_repeat_is_a_hit(self):
-        assert crypto.verify_sig(self.alice.public_key, self.message, self.sig)
-        hits = crypto._ed25519_verdict.cache_info().hits
-        assert crypto.verify_sig(self.alice.public_key, self.message, self.sig)
-        assert crypto._ed25519_verdict.cache_info().hits == hits + 1
-
-    def test_flips_after_a_cached_verdict_still_fail(self):
-        assert crypto.verify_sig(self.alice.public_key, self.message, self.sig)
-        flipped_sig = bytes([self.sig[0] ^ 0x01]) + self.sig[1:]
-        flipped_message = bytes([self.message[0] ^ 0x01]) + self.message[1:]
-        assert not crypto.verify_sig(self.alice.public_key, self.message, flipped_sig)
-        assert not crypto.verify_sig(self.alice.public_key, flipped_message, self.sig)
-        assert crypto.verify_sig(self.alice.public_key, self.message, self.sig)
 
 
 class TestEncryption:

@@ -137,6 +137,27 @@ class TestRunRequest:
             [tx.kind for tx in world.chain.blocks[h].transactions] for h in outcome.heights
         ] == [["accreq"], ["link"], ["storage"]]
 
+    @pytest.mark.parametrize("kind, signed_by", [("link", "issue_link"), ("storage", "redeem_link")])
+    def test_refused_storage_transaction_raises(self, monkeypatch, kind, signed_by):
+        # storage signing with a key genesis does not name: admission is the
+        # request path's only check of storage's signatures
+        world = build_small_world(seed=3)
+        case = H.find_case(world, want_grant=True)
+        node, stranger = world.storage_node, crypto.keygen(H.derive_seed(3, "stranger"))
+        inner = getattr(node, signed_by)
+
+        def with_stranger_key(*args, **kwargs):
+            node.keypair = stranger
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(node, signed_by, with_stranger_key)
+        height = world.chain.height
+        with pytest.raises(ConfigError, match=rf"^{kind} transaction rejected at admission \(bad-signature\)$"):
+            H.run_request(world, *case)
+        assert world.chain.height == height + (1 if kind == "link" else 2)
+        assert len(world.mempool) == 0
+        assert ledger.validate_chain(world.chain)
+
     @pytest.mark.parametrize(
         "refusal", ["model-denied", "policy-denied", "wrong-resource", "issue-link"]
     )
@@ -451,6 +472,24 @@ class TestSmallOrderKeyForgery:
         assert world.chain.height == height
 
 
+class TestProposerKey:
+    def test_no_key_pair_signs_for_the_scheduled_key_with_another_secret(self, monkeypatch):
+        # _produce does not verify the signature it makes, so a key pair
+        # pairing the scheduled key with another secret must not exist
+        world = build_small_world(seed=5)
+        scheduled = world.scheduled_proposer()
+        height, tip = world.chain.height, world.chain.tip_hash()
+        others = [kp for kp in world.validators if kp != scheduled]
+        for other in [*others, world.admin, world.storage_node.keypair, world.user_keypair(-1)]:
+            monkeypatch.setattr(
+                world, "scheduled_proposer",
+                lambda other=other: crypto.KeyPair(scheduled.public_key, other.secret_key),
+            )
+            with pytest.raises(ValueError, match="^public key is not the one the secret key derives$"):
+                H._produce(world)
+        assert (world.chain.height, world.chain.tip_hash()) == (height, tip)
+
+
 class TestBanPathway:
     def test_three_wrong_files_ban_and_flag(self):
         world = build_small_world(seed=13)
@@ -570,12 +609,12 @@ class TestCryptoCounts:
     # chain bytes added, canonical encodings, verify_sig calls), run in
     # this order on one setup_world(3, 30, 12, 0)
     COSTS = {
-        "grant": (6, 6, 3, 2, 3, 2152, 18, 9),
-        "model-denied": (2, 2, 0, 0, 1, 695, 8, 3),
-        "policy-denied": (2, 2, 0, 0, 1, 694, 8, 3),
-        "wrong-resource": (2, 2, 0, 0, 1, 700, 8, 3),
-        "outsider": (2, 2, 1, 0, 1, 694, 8, 3),
-        "replayed request": (0, 0, 0, 0, 0, 0, 3, 1),
+        "grant": (3, 6, 3, 2, 3, 2152, 18, 3),
+        "model-denied": (1, 2, 0, 0, 1, 695, 8, 1),
+        "policy-denied": (1, 2, 0, 0, 1, 694, 8, 1),
+        "wrong-resource": (1, 2, 0, 0, 1, 700, 8, 1),
+        "outsider": (1, 2, 1, 0, 1, 694, 8, 1),
+        "replayed request": (1, 0, 0, 0, 0, 0, 3, 1),
         "reused link": (0, 0, 0, 0, 0, 0, 2, 0),
     }
 
@@ -619,15 +658,13 @@ class TestCryptoCounts:
         }
 
     def test_cost_per_request_class(self, monkeypatch):
-        # Counted at the libsodium calls, so a signature the verdict cache
-        # answers costs nothing: block validation's re-check of a transaction
-        # admission checked, and the replayed request, whose signature was
-        # checked on its first run.
+        # Counted at the libsodium calls.  Each signature is verified once,
+        # at admission: a mined block's own signature and its transactions'
+        # are not verified again.
         # X25519: a grant's link encryption (2) and the user's decryption of
         # it (1); an outsider's key derivation (1).
         crypto._x25519_public.cache_clear()  # before setup, so only the outsider's key is new
         world = H.setup_world(3, 30, 12, seed=0)
-        crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
         counts = Counter()
         for name, column in self.SODIUM_COLUMNS.items():
             inner = getattr(crypto._sodium, name)
@@ -725,29 +762,26 @@ class TestCryptoCounts:
     @pytest.mark.parametrize(
         "n_users, batch_size",
         [(ledger.DEFAULT_BATCH_SIZE, ledger.DEFAULT_BATCH_SIZE), (ledger.DEFAULT_BATCH_SIZE, 7),
-         (200, ledger.DEFAULT_BATCH_SIZE)],
-        ids=["100", "7", "200-users"],
+         (200, ledger.DEFAULT_BATCH_SIZE), (200, 200)],
+        ids=["100", "7", "200-users", "200-batch-200"],
     )
-    def test_setup_block_reverified_from_the_cache(self, monkeypatch, n_users, batch_size):
-        # one full block of setup transactions, a backlog mined over many
-        # blocks, or more users than the cache holds: each full batch is
-        # mined as soon as it is admitted, block validation checks each
-        # transaction again, and the verdict cache answers every re-check
+    def test_setup_signatures_verified_once(self, monkeypatch, n_users, batch_size):
+        # at any batch size, libsodium verifies each setup signature once, at
+        # admission, and of the block signatures only genesis', when
+        # genesis() appends it
         verified: Counter[bytes] = Counter()
-        inner = crypto.verify_sig
+        inner = crypto._sodium.crypto_sign_verify_detached
 
-        def counted(public_key, message, signature):
+        def counted(signature, *args):
             verified[signature] += 1
-            return inner(public_key, message, signature)
+            return inner(signature, *args)
 
-        monkeypatch.setattr(crypto, "verify_sig", counted)
-        crypto._ed25519_verdict.cache_clear()  # an earlier identical world left its verdicts
+        monkeypatch.setattr(crypto._sodium, "crypto_sign_verify_detached", counted)
         world = H.setup_world(3, n_users, 2, seed=0, config=Config(batch_size=batch_size))
         setup_sigs = [tx.sig for block in world.chain.blocks for tx in block.transactions]
         assert len(setup_sigs) == n_users
         assert max(len(block.transactions) for block in world.chain.blocks) == batch_size
-        assert all(verified[sig] == 2 for sig in setup_sigs)  # admission, block validation
-        assert crypto._ed25519_verdict.cache_info().misses == len(verified)
+        assert verified == Counter([world.chain.blocks[0].sig, *setup_sigs])
 
     def test_replay_from_disk_verifies_every_signature(self, tmp_path, monkeypatch):
         world = H.setup_world(3, 30, 12, seed=0)
